@@ -2,8 +2,8 @@
 
 Measures the three dense 2-D kernels — the ``__local``-tiled GEMM
 (``matmul2d``), the 3x3 stencil (``conv2d``), and the in-LRAM bitonic
-sorting network (``bitonic_sort``) — at 1/2/4/8 CUs, asserting the
-vectorized and scalar issue engines bit-identical on every cell, then
+sorting network (``bitonic_sort``) — at 1/2/4/8 CUs, asserting
+macro-stepping on and off cycle-identical on every cell, then
 times the full 16-kernel Table III sweep (the 13 flat kernels plus the
 dense trio) through the production ``run_table3`` path.  The honest
 numbers land in ``BENCH_PR10.json`` in the repository root for the
@@ -23,10 +23,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch.config import GGPUConfig
 from repro.eval.benchmarks import BenchmarkSizes, measure_gpu_kernel, run_table3
-from repro.kernels import DENSE_KERNEL_NAMES, all_kernel_names
+from repro.kernels import DENSE_KERNEL_NAMES, all_kernel_names, get_kernel_spec, run_workload
 from repro.runtime.checkpoint import atomic_write_json
 from repro.runtime.parallel import default_jobs
+from repro.simt.gpu import GGPUSimulator
 
 _ROOT = Path(__file__).resolve().parent.parent
 BENCH_PR10_PATH = _ROOT / "BENCH_PR10.json"
@@ -53,13 +55,23 @@ def _record(section: str, payload: dict) -> None:
     atomic_write_json(BENCH_PR10_PATH, data)
 
 
+def _cycles_without_macro_step(name: str, num_cus: int, size: int) -> float:
+    """Cycles of one checked run with every CU issuing one instruction per event."""
+    spec = get_kernel_spec(name)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
+    for cu in simulator.compute_units:
+        cu.macro_step = False
+    result, _ = run_workload(simulator, spec.build(), spec.workload(size, SEED))
+    return result.cycles
+
+
 @pytest.mark.benchmark(group="dense")
 def test_dense_rank2_workloads(benchmark):
     # Per-kernel cells at every CU count.  check=True inside
     # measure_gpu_kernel verifies results against the numpy reference, and
-    # each cell is run on both issue engines with cycles asserted identical
-    # — re-checking, at bench scale, what the golden and differential
-    # suites pin for the rank-2 machinery.
+    # each cell is rerun with macro-stepping off with cycles asserted
+    # identical — re-checking, at bench scale, what the golden and
+    # differential suites pin for the rank-2 machinery.
     cells: dict = {}
     cu_scaling: dict = {}
     for name in DENSE_KERNEL_NAMES:
@@ -67,12 +79,12 @@ def test_dense_rank2_workloads(benchmark):
         per_cu: dict = {}
         for num_cus in CU_COUNTS:
             start = time.perf_counter()
-            vec = measure_gpu_kernel(name, num_cus, size, SEED, True, True)
+            measured = measure_gpu_kernel(name, num_cus, size, SEED, True)
             wall = time.perf_counter() - start
-            scalar = measure_gpu_kernel(name, num_cus, size, SEED, True, False)
-            assert vec.cycles == scalar.cycles, (name, num_cus)
+            single_issue = _cycles_without_macro_step(name, num_cus, size)
+            assert measured.cycles == single_issue, (name, num_cus)
             per_cu[f"{num_cus}cu"] = {
-                "kcycles": vec.kcycles,
+                "kcycles": measured.kcycles,
                 "wall_seconds": round(wall, 4),
             }
         cells[name] = {"gpu_size": size, "per_cu": per_cu}

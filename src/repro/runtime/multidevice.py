@@ -154,13 +154,6 @@ class DeviceBuffer:
     def num_bytes(self) -> int:
         return self.num_words * WORD_BYTES
 
-    @property
-    def dirty_on(self) -> Optional[int]:
-        """Lowest device holding up-to-date contents the host lacks."""
-        if self.host_valid or not self.valid_on:
-            return None
-        return min(self.valid_on)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceBuffer(handle={self.handle}, addr={self.address:#x}, "

@@ -7,10 +7,11 @@ and checks three things:
   (rank mismatch, non-divisible extents, non-positive extents) raises
   ``KernelError`` with the offending dimension in the message;
 * the per-dimension work-item ids a compiled CL kernel observes on the G-GPU
-  match the row-major (dimension 0 fastest) reference on both issue engines;
+  match the row-major (dimension 0 fastest) reference with macro-stepping
+  on and off;
 * rank-mismatched ``get_*_id(dim)`` queries fail loudly on every backend:
-  the SIMT engines (scalar and vectorized), the RISC-V code generator, and
-  the dynamic race oracle.
+  the SIMT issue loop (macro-stepping on and off), the RISC-V code
+  generator, and the dynamic race oracle.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def test_rank_mismatch_and_nonpositive_extents_are_rejected():
 
 
 # --------------------------------------------------------------------- #
-# Per-dimension ids on the G-GPU, fuzzed over geometry and both engines
+# Per-dimension ids on the G-GPU, fuzzed over geometry and macro-stepping
 # --------------------------------------------------------------------- #
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -125,17 +126,15 @@ def test_rank_mismatch_and_nonpositive_extents_are_rejected():
     nwg0=st.integers(min_value=1, max_value=3),
     nwg1=st.integers(min_value=1, max_value=3),
     num_cus=st.sampled_from([1, 2, 4]),
-    vectorized=st.booleans(),
+    macro_step=st.booleans(),
 )
-def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus, vectorized):
+def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus, macro_step):
     gs = (ws[0] * nwg0, ws[1] * nwg1)
     total = gs[0] * gs[1]
     kernel = compile_source(IDS2D_CL).to_ggpu_kernel()
-    simulator = GGPUSimulator(
-        GGPUConfig(num_cus=num_cus),
-        memory_bytes=8 * 1024 * 1024,
-        vectorized=vectorized,
-    )
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), memory_bytes=8 * 1024 * 1024)
+    for cu in simulator.compute_units:
+        cu.macro_step = macro_step
     buffers = {name: simulator.allocate_buffer(total) for name in
                ("g0", "g1", "l0", "l1", "w0", "w1")}
     simulator.launch(kernel, NDRange(gs, ws), dict(buffers))
@@ -154,7 +153,7 @@ def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus, vectorized
         )
         assert np.array_equal(got, want), (
             f"{name} wrong for global {gs} workgroup {ws} on {num_cus} CU(s) "
-            f"(vectorized={vectorized})"
+            f"(macro_step={macro_step})"
         )
 
 
@@ -174,10 +173,12 @@ def _dim1_gpu_kernel():
     return builder.build()
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_dim1_query_on_rank1_launch_raises_in_the_simt_engines(vectorized):
+@pytest.mark.parametrize("macro_step", [True, False])
+def test_dim1_query_on_rank1_launch_raises_in_the_simt_engines(macro_step):
     kernel = _dim1_gpu_kernel()
-    simulator = GGPUSimulator(GGPUConfig(num_cus=1), vectorized=vectorized)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1))
+    for cu in simulator.compute_units:
+        cu.macro_step = macro_step
     out = simulator.allocate_buffer(64)
     with pytest.raises(SimulationError, match="dimension 1 of a rank-1"):
         simulator.launch(kernel, NDRange(64, 64), {"out": out})

@@ -413,18 +413,29 @@ def test_cache_ports_serialize_scattered_accesses():
 
 
 # --------------------------------------------------------------------- #
-# Vectorized cross-wavefront issue: on/off equivalence axis
+# Macro-stepping on/off over divergence, barriers, and port contention
 # --------------------------------------------------------------------- #
+# The tests below first compared the retired cross-wavefront batch engine
+# with the scalar issue loop.  They keep their names, kernels, and inputs,
+# and now pin the one remaining issue loop: macro-stepping on vs off, plus
+# the expected outputs or golden pins.
+def _simulator(config: GGPUConfig, macro: bool, **kwargs) -> GGPUSimulator:
+    simulator = GGPUSimulator(config, **kwargs)
+    for cu in simulator.compute_units:
+        cu.macro_step = macro
+    return simulator
+
+
 def _launch_modes(kernel: Kernel, global_size: int, workgroup_size: int, num_cus: int):
-    """Run ``kernel`` with the vectorized engine on and off; return both outcomes."""
+    """Run ``kernel`` with macro-stepping on and off; return both outcomes."""
     outcomes = {}
-    for vectorized in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), vectorized=vectorized)
+    for macro in (True, False):
+        simulator = _simulator(GGPUConfig(num_cus=num_cus), macro)
         out = simulator.allocate_buffer(global_size)
         result = simulator.launch(
             kernel, NDRange(global_size, workgroup_size), {"out": out}
         )
-        outcomes[vectorized] = (
+        outcomes[macro] = (
             result.cycles,
             result.stats.instructions_issued,
             list(simulator.read_buffer(out, global_size)),
@@ -434,50 +445,71 @@ def _launch_modes(kernel: Kernel, global_size: int, workgroup_size: int, num_cus
 
 @pytest.mark.parametrize("num_cus", [1, 2, 8])
 def test_vectorized_issue_matches_scalar_on_nested_divergence(num_cus):
-    """Divergence masks force the batched engine onto its masked replay path."""
+    """Nested divergence masks: same cycles and outputs with or without macro runs."""
     outcomes = _launch_modes(_nested_divergence_kernel(), 256, 64, num_cus)
     assert outcomes[True] == outcomes[False]
+    expected = {1: 1, 3: 3, 2: 2, 0: 4}
+    assert outcomes[True][2] == [expected[gid % 4] for gid in range(256)]
 
 
 @pytest.mark.parametrize("workgroup_size", [64, 256, 512])
 def test_vectorized_issue_matches_scalar_across_barriers(workgroup_size):
-    """Barriers park wavefronts mid-batch; both engines must agree exactly."""
+    """Barriers park wavefronts mid-run; both modes must agree exactly."""
     outcomes = _launch_modes(_barrier_kernel(rounds=2), 1024, workgroup_size, 2)
     assert outcomes[True] == outcomes[False]
+    assert outcomes[True][2] == _barrier_reference(1024, workgroup_size, rounds=2)
 
 
 @pytest.mark.parametrize("ports", [1, 4, 64])
 def test_vectorized_issue_matches_scalar_under_port_contention(ports):
-    """Cache-port serialization happens on the scalar path in both engines."""
+    """Cache-port serialization is charged identically in both modes."""
     cycles = {}
-    for vectorized in (True, False):
-        simulator = GGPUSimulator(
-            GGPUConfig(num_cus=1, cache=CacheConfig(ports=ports)),
-            vectorized=vectorized,
-        )
+    for macro in (True, False):
+        simulator = _simulator(GGPUConfig(num_cus=1, cache=CacheConfig(ports=ports)), macro)
         buf = simulator.create_buffer(range(64 * 16))
         out = simulator.allocate_buffer(64)
         result = simulator.launch(
             _strided_double_load_kernel(), NDRange(64, 64), {"buf": buf, "out": out}
         )
         assert list(simulator.read_buffer(out, 64)) == [gid * 16 for gid in range(64)]
-        cycles[vectorized] = result.cycles
+        cycles[macro] = result.cycles
     assert cycles[True] == cycles[False]
 
 
 @pytest.mark.parametrize("name", ["div_int", "parallel_sel", "xcorr", "histogram"])
 def test_vectorized_issue_matches_goldens_with_engine_off(name):
-    """The pinned goldens hold with the batched engine disabled too."""
+    """The pinned goldens hold with macro-stepping disabled too."""
     size, cycles_by_cu, instructions = ALL_GOLDEN[name]
+    spec = get_kernel_spec(name)
     for num_cus in (1, 8):
-        result = _run(name, num_cus, size, vectorized=False)
+        simulator = _simulator(GGPUConfig(num_cus=num_cus), macro=False)
+        result, _ = run_workload(simulator, spec.build(), spec.workload(size, SEED))
         assert result.cycles == cycles_by_cu[num_cus]
         assert result.stats.instructions_issued == instructions
 
 
 # --------------------------------------------------------------------- #
-# Vectorized issue: property test over random compiled kernels
+# Macro-stepping on/off: property test over random compiled kernels
 # --------------------------------------------------------------------- #
+def _fuzz_reference(a, rounds, c0, c1, threshold, op) -> list:
+    """Python reference of the ``fuzz_vec`` kernel below, as u32 words.
+
+    Each work-item reads back only its own ``tmp[lid]`` slot, so the
+    barriers order nothing across lanes and every gid evolves on its own.
+    """
+    combine = {"+": lambda x, y: x + y, "^": lambda x, y: x ^ y, "|": lambda x, y: x | y}[op]
+    values = []
+    for gid, value in enumerate(int(word) for word in a):
+        acc = c0
+        for r in range(rounds):
+            tmp = (acc + value * (r + c1)) & 0xFFFFFFFF
+            acc = combine(acc, tmp) & 0xFFFFFFFF
+            if value > threshold:
+                acc = (acc + gid) & 0xFFFFFFFF
+        values.append(acc)
+    return values
+
+
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rounds=st.integers(min_value=1, max_value=3),
@@ -489,8 +521,8 @@ def test_vectorized_issue_matches_goldens_with_engine_off(name):
 )
 def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op, seed):
     """Random compiled kernels (divergence + barriers + loops): results,
-    cycles, and the command queue's ``QueueStats`` must be bit-equal between
-    the batched and the scalar issue engines."""
+    cycles, and the command queue's ``QueueStats`` must be bit-equal with
+    macro-stepping on and off, and the results must match the reference."""
     source = f"""
     __kernel void fuzz_vec(__global int *a, __global int *out, int n) {{
         int gid = get_global_id(0);
@@ -516,20 +548,19 @@ def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op,
     a = rng.integers(0, 1 << 16, size=n, dtype=np.int64)
 
     outcomes = {}
-    for vectorized in (True, False):
-        simulator = GGPUSimulator(
-            GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024, vectorized=vectorized
-        )
+    for macro in (True, False):
+        simulator = _simulator(GGPUConfig(num_cus=2), macro, memory_bytes=4 * 1024 * 1024)
         queue = CommandQueue(simulator=simulator)
         a_addr = queue.create_buffer(a)
         out_addr = queue.allocate_buffer(n)
         queue.enqueue(kernel, NDRange(n, 64), {"a": a_addr, "out": out_addr, "n": n})
         values = queue.read_buffer(out_addr, n)
-        outcomes[vectorized] = (list(values), asdict(queue.stats))
+        outcomes[macro] = ([int(value) for value in values], asdict(queue.stats))
     assert outcomes[True] == outcomes[False]
     # QueueStats carries the launch cycle totals, so the tuple comparison
     # above pins cycles; make the intent explicit anyway.
     assert outcomes[True][1]["total_cycles"] == outcomes[False][1]["total_cycles"]
+    assert outcomes[True][0] == _fuzz_reference(a, rounds, c0, c1, threshold, op)
 
 
 # --------------------------------------------------------------------- #
