@@ -104,6 +104,9 @@ class SweepJournal:
         self.path = Path(path)
         self.meta: Dict[str, Any] = dict(meta or {})
         self.cells: Dict[str, Any] = {}
+        # Each cell's entry in the journal file, serialized once when first
+        # written (see flush).
+        self._cell_text: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.resumed = False
@@ -155,14 +158,37 @@ class SweepJournal:
                 f"journal cell {key} already recorded with different contents"
             )
         self.cells[key] = value
+        self._cell_text[key] = _nested_json(value, "    ")
         self.flush()
 
     def flush(self) -> None:
-        """Atomically rewrite the journal file with the current cells."""
-        atomic_write_json(
+        """Atomically rewrite the journal file with the current cells.
+
+        The file holds exactly ``atomic_write_json``'s text for
+        ``{"format": ..., "meta": ..., "cells": ...}``, but it is assembled
+        from each cell's text, serialized once, so a sweep's per-cell
+        records cost one serialization each instead of re-serializing every
+        earlier cell.
+        """
+        texts = self._cell_text
+        entries = []
+        for key in sorted(self.cells):
+            if key not in texts:  # loaded from disk and not re-serialized yet
+                texts[key] = _nested_json(self.cells[key], "    ")
+            entries.append(f"\n    {json.dumps(key)}: {texts[key]}")
+        cells = "{" + ",".join(entries) + "\n  }" if entries else "{}"
+        atomic_write_text(
             self.path,
-            {"format": JOURNAL_FORMAT, "meta": self.meta, "cells": self.cells},
+            f'{{\n  "cells": {cells},\n  "format": {json.dumps(JOURNAL_FORMAT)},\n'
+            f'  "meta": {_nested_json(self.meta, "  ")}\n}}\n',
         )
+
+
+def _nested_json(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it nested
+    ``indent`` deep: JSON strings escape newlines, so every newline of the
+    standalone text is layout and takes the extra indent."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def open_journal(

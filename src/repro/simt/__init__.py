@@ -35,9 +35,10 @@ The engine is event driven rather than instruction-at-a-time:
   callable); all CUs share the decode.
 * **Macro-stepping fast path.**  After issuing the selected instruction, a CU
   keeps issuing for the same wavefront while the next instruction is
-  *macro-safe* (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL, MASK — straight-line work
-  that touches no shared machine state) and the wavefront stays strictly
-  ahead of every other unfinished resident.  Such runs are batched into one
+  *macro-safe* (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL, MASK, BRANCH — work that
+  touches no shared machine state; a uniform branch writes only its own
+  wavefront's ``pc``) and the wavefront stays strictly ahead of every other
+  unfinished resident.  Such runs, uniform loops included, are batched into one
   scheduling event with bulk timing/stats updates; this is provably
   cycle-exact and is locked by golden regression tests
   (``tests/test_simt_golden.py``) that compare against single-instruction

@@ -251,11 +251,36 @@ class DataCache:
         count = lines.size
         if count == 0:
             return None, None, 0
+        stats = self.stats
+        if count == 1:
+            # One line (every uniform-address access): the same tag, dirty
+            # and statistics updates on plain ints.
+            line = int(lines[0])
+            index = self._index(line)
+            tag = int(self._tags[index])
+            if is_write:
+                stats.write_accesses += 1
+            else:
+                stats.read_accesses += 1
+            if tag == line:
+                if is_write:
+                    self._dirty[index] = True
+                return None, None, 0
+            if is_write:
+                stats.write_misses += 1
+            else:
+                stats.read_misses += 1
+            write_back = tag != _NO_TAG and bool(self._dirty[index])
+            if write_back:
+                stats.write_backs += 1
+            self._tags[index] = line
+            self._dirty[index] = is_write
+            return [False], [write_back], 1
         if self._line_shift >= 0:
             indices = (lines >> self._line_shift) & self._index_mask
         else:
             indices = (lines // self._line_bytes) % self._num_lines
-        if count > 1 and int(lines[-1]) - int(lines[0]) >= self._span_bytes:
+        if int(lines[-1]) - int(lines[0]) >= self._span_bytes:
             if np.unique(indices).size != count:
                 # Aliasing inside one access: replay sequentially so the
                 # eviction order stays exact.
@@ -272,7 +297,6 @@ class DataCache:
         tags = self._tags[indices]
         hits = tags == lines
         num_misses = count - int(hits.sum())
-        stats = self.stats
         if is_write:
             stats.write_accesses += count
             stats.write_misses += num_misses

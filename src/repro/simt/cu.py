@@ -20,17 +20,29 @@ Macro-stepping fast path
 Programs are bound as pre-decoded instruction streams
 (:mod:`repro.simt.decode`), and after issuing the selected instruction the CU
 keeps issuing for the *same* wavefront as long as (a) the next instruction is
-macro-safe — ALU/MUL/DIV, SPECIAL, PARAM, LOCAL, or MASK, i.e. straight-line
-work that touches no shared machine state — and (b) the wavefront's next
-ready time stays strictly ahead of every other unfinished resident.  Under
-those two conditions no other wavefront (in this CU or any other: macro-safe
-instructions never touch the shared cache or the AXI ports) could have issued
-in between, so batching the whole run into one scheduling event is
-cycle-for-cycle identical to issuing one instruction per event, while
-skipping the per-instruction trips through the scheduler and the simulator's
-event heap.  Setting :attr:`ComputeUnit.macro_step` to ``False`` disables the
-batching; the regression tests assert both modes produce identical cycle
-counts and results.
+macro-safe — ALU/MUL/DIV, SPECIAL, PARAM, LOCAL, MASK or BRANCH, i.e. work
+that touches no shared machine state (a uniform branch rewrites only its own
+wavefront's ``pc``, so uniform loops batch too) — and (b) the wavefront's
+next ready time stays strictly ahead of every other unfinished resident, the
+time :meth:`WavefrontScheduler.select` leaves in ``others_ready`` from its
+one pass over the residents.  Under those two conditions no other wavefront
+(in this CU or any other: macro-safe instructions never touch the shared
+cache or the AXI ports) could have issued in between, so batching the whole
+run into one scheduling event is cycle-for-cycle identical to issuing one
+instruction per event, while skipping the per-instruction trips through the
+scheduler and the simulator's event heap.  Setting
+:attr:`ComputeUnit.macro_step` to ``False`` disables the batching; the
+regression tests assert both modes produce identical cycle counts and
+results.
+
+Uniform-address loads
+---------------------
+A load whose lanes all read one address (a scalar operand, or an address
+built from a loop counter) on a fully active wavefront passes a one-lane
+view of the address vector through the same global-memory load and cache
+probe as any other load.  Those calls make the same checks and raise the
+same errors on one element, the access touches the same single line with
+the same statistics, and the loaded word is broadcast to every lane.
 
 Posted stores
 -------------
@@ -93,7 +105,7 @@ from repro.simt.memory import GlobalMemory, LocalMemory, RuntimeMemory
 from repro.simt.scheduler import WavefrontScheduler
 from repro.simt.timing import TimingModel
 from repro.simt.trace import ComputeUnitStats
-from repro.simt.wavefront import Wavefront
+from repro.simt.wavefront import Wavefront, lanes_uniform
 
 _INFINITY = float("inf")
 
@@ -265,8 +277,8 @@ class ComputeUnit:
         """Run one scheduling event; return the wavefronts retired by it.
 
         One event issues one instruction of one ready wavefront, plus — when
-        the macro-stepping conditions hold — the uncontended straight-line
-        macro-safe run that follows it.
+        the macro-stepping conditions hold — the uncontended macro-safe run
+        that follows it.
         """
         program = self._program
         if program is None or self._rtm is None:
@@ -282,11 +294,7 @@ class ComputeUnit:
         ops = program.ops
         packed = program.packed
         num_ops = len(packed)
-        others_ready = (
-            self.scheduler.earliest_ready_excluding(wavefront)
-            if self.macro_step
-            else -_INFINITY
-        )
+        others_ready = self.scheduler.others_ready if self.macro_step else -_INFINITY
         occupancy_rounds = self._occupancy
         stats = self.stats
         mix_counts = stats.mix.counts
@@ -487,8 +495,8 @@ class ComputeUnit:
             raise SimulationError(f"unhandled special opcode {opcode.mnemonic}")
         self._write_register(wavefront, op.rd, values)
 
-    def _lane_addresses(self, wavefront: Wavefront, rs: int, imm: int) -> np.ndarray:
-        base = wavefront.registers._values[rs]
+    @staticmethod
+    def _lane_addresses(base: np.ndarray, imm: int) -> np.ndarray:
         if imm == 0:
             # Register values are stored masked, so the 32-bit wrap of the
             # pointer arithmetic only matters once an offset is added.
@@ -496,16 +504,25 @@ class ComputeUnit:
         return (base + imm) & 0xFFFFFFFF
 
     def _execute_load(self, wavefront: Wavefront, op: tuple, access_time: float) -> float:
-        addresses = self._lane_addresses(wavefront, op[P_RS], op[P_IMM])
+        rows = wavefront.registers._values
+        base = rows[op[P_RS]]
         num_active = wavefront.num_active
         if num_active == wavefront.wavefront_size:
             # Fully active wavefront (the common case): no masked gather or
             # zero-fill scatter, the loaded vector is the register value.
+            if lanes_uniform(base):
+                # Every lane reads one word (a scalar operand or a loop-
+                # counter address): a one-lane view makes the same checks
+                # and touches the same single line, and the row assignment
+                # broadcasts the word to every lane.
+                base = base[:1]
+            addresses = self._lane_addresses(base, op[P_IMM])
             result = self.global_memory.load_words(addresses)
             completion = self._memory_timing(addresses, access_time, is_write=False)
             if op[P_RD]:
-                wavefront.registers._values[op[P_RD]] = result
+                rows[op[P_RD]] = result
             return completion
+        addresses = self._lane_addresses(base, op[P_IMM])
         mask = wavefront.active_mask
         result = np.zeros(wavefront.wavefront_size, dtype=np.int64)
         completion = access_time + self.cache.hit_latency_cycles
@@ -517,7 +534,7 @@ class ComputeUnit:
         return completion
 
     def _execute_store(self, wavefront: Wavefront, op: tuple, access_time: float) -> float:
-        addresses = self._lane_addresses(wavefront, op[P_RS], op[P_IMM])
+        addresses = self._lane_addresses(wavefront.registers._values[op[P_RS]], op[P_IMM])
         num_active = wavefront.num_active
         if num_active:
             values = wavefront.registers._values[op[P_RT]]
@@ -572,7 +589,7 @@ class ComputeUnit:
         return completion
 
     def _execute_local(self, wavefront: Wavefront, op: tuple, kind: int) -> None:
-        addresses = self._lane_addresses(wavefront, op[P_RS], op[P_IMM])
+        addresses = self._lane_addresses(wavefront.registers._values[op[P_RS]], op[P_IMM])
         mask = wavefront.active_mask
         if self._use_lram_windows:
             # Each workgroup addresses its private LRAM window: accesses wrap
@@ -592,9 +609,14 @@ class ComputeUnit:
                 self.local_memory.store_words(word_indices[mask], values)
 
     def _execute_branch(self, wavefront: Wavefront, op: tuple, fallthrough: int) -> int:
+        if not wavefront.any_active:
+            raise SimulationError("no active lane to read a uniform value from")
         rows = wavefront.registers._values
-        a = wavefront.uniform_lane_value(rows[op[P_RS]])
-        b = wavefront.uniform_lane_value(rows[op[P_RT]])
+        rs = op[P_RS]
+        rt = op[P_RT]
+        # r0 reads zero in every lane, so it is uniform without a scan.
+        a = wavefront.uniform_lane_value(rows[rs]) if rs else 0
+        b = wavefront.uniform_lane_value(rows[rt]) if rt else 0
         signed_a = a - (1 << 32) if a & 0x80000000 else a
         signed_b = b - (1 << 32) if b & 0x80000000 else b
         code = op[P_FN]

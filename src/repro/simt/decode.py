@@ -15,10 +15,11 @@ carrying
   comparison for conditional branches.
 
 ``macro_safe`` marks instructions (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL,
-MASK) that touch no shared machine state — no global memory, no control
-flow, no barriers — so an uncontended wavefront can issue a straight-line
-run of them in one scheduling event without any other wavefront being able
-to observe the difference; the compute unit's macro-stepping fast path
+MASK, BRANCH) that touch no shared machine state — no global memory, no
+barriers, no other wavefront's readiness; a branch only rewrites its own
+wavefront's ``pc`` — so an uncontended wavefront can issue a run of them,
+loops included, in one scheduling event without any other wavefront being
+able to observe the difference; the compute unit's macro-stepping fast path
 checks this flag per instruction.
 
 The decoded program is immutable and depends only on the program, the timing
@@ -69,7 +70,8 @@ _BCOND_CODES = {
 }
 
 # Classes whose execution touches only wavefront-private or CU-private state
-# and never alters control flow or another wavefront's readiness.
+# and never alters another wavefront's readiness.  Branches qualify: a
+# uniform BEQ/BNE/BLT/BGE/JMP/BEMPTY writes only its own wavefront's ``pc``.
 _MACRO_SAFE_CLASSES = frozenset(
     (
         OpClass.ALU,
@@ -79,6 +81,7 @@ _MACRO_SAFE_CLASSES = frozenset(
         OpClass.PARAM,
         OpClass.LOCAL,
         OpClass.MASK,
+        OpClass.BRANCH,
     )
 )
 

@@ -81,6 +81,11 @@ class GlobalMemory:
     # ------------------------------------------------------------------ #
     def load_words(self, byte_addresses: np.ndarray) -> np.ndarray:
         """Load one word per lane from the given byte addresses."""
+        if len(byte_addresses) == 1:
+            # One lane (the compute unit's uniform-address loads): the same
+            # checks and errors on a plain int, without the vector passes.
+            index = self._word_index(int(byte_addresses[0]))
+            return self._words[index : index + 1].copy()
         return self._words[self._word_indices(byte_addresses)]
 
     def store_words(self, byte_addresses: np.ndarray, values: np.ndarray) -> None:

@@ -35,6 +35,7 @@ class WavefrontScheduler:
         self._earliest_valid = True
         self._active = 0
         self._active_valid = True
+        self.others_ready = _INFINITY
 
     def __len__(self) -> int:
         return len(self._order)
@@ -114,37 +115,35 @@ class WavefrontScheduler:
             self._earliest_valid = True
         return self._earliest
 
-    def earliest_ready_excluding(self, excluded: Wavefront) -> float:
-        """Earliest ready time among the *other* unfinished residents.
-
-        Used by the compute unit's macro-stepping fast path: the selected
-        wavefront may keep issuing back-to-back only while it stays strictly
-        ahead of every other resident.
-        """
-        earliest = _INFINITY
-        for wavefront in self._order:
-            if (
-                wavefront is not excluded
-                and not wavefront.done
-                and wavefront.ready_time < earliest
-            ):
-                earliest = wavefront.ready_time
-        return earliest
-
     def select(self, now: float) -> Optional[Wavefront]:
         """Pick the next wavefront with ``ready_time <= now`` (round robin).
 
         The selected wavefront is rotated to the back of the order so ready
-        wavefronts share the issue bandwidth fairly.
+        wavefronts share the issue bandwidth fairly.  The same pass leaves
+        the earliest ready time among the *other* unfinished residents in
+        :attr:`others_ready`: the compute unit's macro-stepping fast path
+        keeps issuing for the selected wavefront only while it stays
+        strictly ahead of that time.
         """
-        order = self._order
-        for position, wavefront in enumerate(order):
-            if not wavefront.done and wavefront.ready_time <= now:
-                # One rotation with the same end state as rotating each
-                # probed wavefront to the back individually.
-                order.rotate(-(position + 1))
-                # The caller is about to issue for (and therefore delay) the
-                # selected wavefront, so the cached minimum goes stale.
-                self._earliest_valid = False
-                return wavefront
-        return None
+        chosen = None
+        position = 0
+        others = _INFINITY
+        for index, wavefront in enumerate(self._order):
+            if wavefront.done:
+                continue
+            ready = wavefront.ready_time
+            if chosen is None and ready <= now:
+                chosen = wavefront
+                position = index
+            elif ready < others:
+                others = ready
+        self.others_ready = others
+        if chosen is None:
+            return None
+        # One rotation with the same end state as rotating each probed
+        # wavefront to the back individually.
+        self._order.rotate(-(position + 1))
+        # The caller is about to issue for (and therefore delay) the
+        # selected wavefront, so the cached minimum goes stale.
+        self._earliest_valid = False
+        return chosen

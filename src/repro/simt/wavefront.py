@@ -18,6 +18,17 @@ from repro.errors import SimulationError
 from repro.simt.registers import WavefrontRegisterFile
 
 
+def lanes_uniform(values: np.ndarray) -> bool:
+    """Whether every element of a non-empty integer lane vector is equal.
+
+    Exact (equal integers of one dtype have equal bytes) and a fraction of the
+    cost of an elementwise compare-and-reduce on a 64-lane vector: one copy
+    out to ``bytes`` and one ``memcmp`` against the first lane repeated.
+    """
+    raw = values.tobytes()
+    return raw == raw[: values.itemsize] * values.size
+
+
 class Wavefront:
     """Execution state of one wavefront of a workgroup."""
 
@@ -174,7 +185,7 @@ class Wavefront:
         active_values = np.asarray(values)
         if self._active_count != active_values.size:
             active_values = active_values[self.active_mask]
-        if strict and (active_values != active_values[0]).any():
+        if strict and not lanes_uniform(active_values):
             raise SimulationError(
                 f"wavefront {self.wavefront_id}: non-uniform value used in uniform control flow"
             )

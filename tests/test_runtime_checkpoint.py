@@ -127,6 +127,37 @@ def test_journal_ignores_identical_rerecord_but_rejects_conflicts(tmp_path):
         journal.record(key, {"v": 2})  # same key, different payload: never
 
 
+@pytest.mark.parametrize(
+    "meta", [{}, {"sweep": "unit"}, {"sweep": "température", "tags": ["Δ", None, 1.5]}]
+)
+def test_journal_file_is_canonical_json_of_its_document(tmp_path, meta):
+    path = tmp_path / "journal.json"
+
+    def assert_canonical(journal):
+        document = {"format": JOURNAL_FORMAT, "meta": journal.meta, "cells": journal.cells}
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    journal = SweepJournal(path, meta=meta)
+    journal.flush()
+    assert_canonical(journal)
+    values = [
+        {"cycles": 123.0, "stats": {"mix": {"alu": 3}, "cu": [1, 2]}, "name": "naïve\n"},
+        [],
+        {},
+        7,
+    ]
+    for index, value in enumerate(values):
+        journal.record(cell_key(cell=index), value)
+        assert_canonical(journal)
+    resumed = SweepJournal(path, meta=meta)
+    assert resumed.resumed and len(resumed) == len(values)
+    resumed.record(cell_key(cell=1), [])
+    assert_canonical(resumed)
+    resumed.record(cell_key(cell=len(values)), {"late": True})
+    assert_canonical(resumed)
+
+
 def test_journal_discards_on_meta_mismatch(tmp_path):
     path = tmp_path / "journal.json"
     stale = SweepJournal(path, meta={"sweep": "unit", "scale": 0.5})

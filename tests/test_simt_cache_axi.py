@@ -1,5 +1,6 @@
 """Data cache and global memory controller (AXI) models."""
 
+import numpy as np
 import pytest
 
 from repro.arch.config import AxiConfig, CacheConfig
@@ -100,3 +101,42 @@ def test_memory_controller_reset_and_validation():
     assert controller.earliest_free() == 0.0
     with pytest.raises(SimulationError):
         controller.line_fill(-1.0)
+
+
+def test_one_line_sorted_access_matches_access_line():
+    config = CacheConfig(size_bytes=4096, line_bytes=64)
+    scalar, sorted_path = DataCache(config), DataCache(config)
+    # A write hit dirties line 0; line 4096 then evicts it (same set).
+    for line, is_write in ((0, True), (0, True), (4096, False), (4096, True)):
+        expected = scalar.access_line(line, is_write)
+        outcome = sorted_path.access_sorted_lines(np.array([line], dtype=np.int64), is_write)
+        if expected.hit:
+            assert outcome == (None, None, 0)
+        else:
+            assert outcome == ([False], [expected.write_back], 1)
+        assert sorted_path.stats == scalar.stats
+    assert scalar.stats.write_backs == 1
+    assert sorted_path.resident_lines() == scalar.resident_lines() == {4096}
+    assert sorted_path.flush() == scalar.flush() == 1
+
+
+def test_one_line_dirty_eviction_claims_the_same_port_time():
+    config = CacheConfig(size_bytes=4096, line_bytes=64)
+    scalar, sorted_path = DataCache(config), DataCache(config)
+    scalar.access_line(0, is_write=True)
+    sorted_path.access_sorted_lines(np.array([0], dtype=np.int64), is_write=True)
+    expected = scalar.access_line(4096, is_write=False)
+    assert not expected.hit and expected.write_back
+    hits, write_backs, misses = sorted_path.access_sorted_lines(
+        np.array([4096], dtype=np.int64), is_write=False
+    )
+    assert misses == 1
+    controllers = [GlobalMemoryController(AxiConfig(), config) for _ in range(2)]
+    bursts = [
+        controllers[0].miss_burst(10.0, config.ports, [expected.hit], [expected.write_back], 12.0),
+        controllers[1].miss_burst(10.0, config.ports, hits, write_backs, 12.0),
+    ]
+    assert bursts[0] == bursts[1]
+    assert controllers[0].stats == controllers[1].stats
+    assert controllers[0].earliest_free() == controllers[1].earliest_free()
+    assert controllers[0].stats.write_backs == controllers[0].stats.line_fills == 1

@@ -6,7 +6,7 @@ import pytest
 from repro.arch.config import GGPUConfig
 from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
-from repro.errors import ConfigurationError, KernelError
+from repro.errors import ConfigurationError, KernelError, SimulationError
 from repro.simt.gpu import GGPUSimulator
 from repro.simt.timing import TimingModel
 from repro.arch.isa import OpClass
@@ -164,3 +164,86 @@ def test_stats_summary_mentions_kernel(simulator):
     result = simulator.launch(kernel, NDRange(64, 64), {"out": out})
     assert "iota" in result.stats.summary()
     assert result.kcycles == pytest.approx(result.cycles / 1000.0)
+
+
+# --------------------------------------------------------------------- #
+# Uniform-address loads and uniform branches
+# --------------------------------------------------------------------- #
+def _uniform_load_kernel() -> Kernel:
+    """out[gid] = *ptr: every lane loads the same word (a uniform address)."""
+    builder = KernelBuilder("uniform_load", args=(KernelArg("ptr"), KernelArg("out")))
+    gid = builder.alloc("gid")
+    ptr = builder.alloc("ptr")
+    out = builder.alloc("out")
+    addr = builder.alloc("addr")
+    value = builder.alloc("value")
+    builder.global_id(gid)
+    builder.load_arg(ptr, "ptr")
+    builder.load_arg(out, "out")
+    builder.emit(Opcode.LW, rd=value, rs=ptr, imm=0)
+    builder.address_of_element(addr, out, gid)
+    builder.emit(Opcode.SW, rs=addr, rt=value, imm=0)
+    builder.ret()
+    return builder.build()
+
+
+def test_uniform_address_load_broadcasts_one_word(simulator):
+    source = simulator.create_buffer([0xCAFE, 0xBEEF])
+    out = simulator.allocate_buffer(128)
+    result = simulator.launch(
+        _uniform_load_kernel(), NDRange(128, 64), {"ptr": source + 4, "out": out}
+    )
+    assert list(simulator.read_buffer(out, 128)) == [0xBEEF] * 128
+    # Two wavefronts read the one line: a miss, then a hit.
+    assert result.stats.cache.read_accesses == 2
+    assert result.stats.cache.read_misses == 1
+
+
+@pytest.mark.parametrize("offset", [2, None], ids=["unaligned", "out_of_range"])
+def test_uniform_address_load_raises_the_vector_path_error(simulator, offset):
+    out = simulator.allocate_buffer(64)
+    address = out + offset if offset is not None else simulator.memory.size_bytes
+    # The text the vector path raises for the same address in every lane.
+    with pytest.raises(SimulationError) as vector:
+        simulator.memory.load_words(np.full(64, address, dtype=np.int64))
+    with pytest.raises(SimulationError) as uniform:
+        simulator.launch(_uniform_load_kernel(), NDRange(64, 64), {"ptr": address, "out": out})
+    assert str(uniform.value) == str(vector.value)
+
+
+def _branch_kernel(rs_name: str, all_lanes_off: bool) -> Kernel:
+    """A BEQ on ``rs`` (``r0`` or the lane-varying ``gid``) against ``r0``."""
+    builder = KernelBuilder("branch_edge", args=(KernelArg("out"),))
+    gid = builder.alloc("gid")
+    out = builder.alloc("out")
+    addr = builder.alloc("addr")
+    builder.global_id(gid)
+    builder.load_arg(out, "out")
+    if all_lanes_off:
+        builder.emit(Opcode.PUSHM)
+        builder.emit(Opcode.CMASK, rs=0)  # r0 is false in every lane
+    skip = builder.asm.unique_label("skip")
+    builder.emit(Opcode.BEQ, rs=gid if rs_name == "gid" else 0, rt=0, label=skip)
+    builder.label(skip)
+    if all_lanes_off:
+        builder.emit(Opcode.POPM)
+    builder.address_of_element(addr, out, gid)
+    builder.emit(Opcode.SW, rs=addr, rt=gid, imm=0)
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize("rs_name", ["r0", "gid"])
+def test_branch_with_no_active_lane_raises(simulator, rs_name):
+    out = simulator.allocate_buffer(64)
+    with pytest.raises(SimulationError, match="no active lane"):
+        simulator.launch(_branch_kernel(rs_name, all_lanes_off=True), NDRange(64, 64), {"out": out})
+
+
+def test_branch_on_non_uniform_operand_raises(simulator):
+    out = simulator.allocate_buffer(64)
+    with pytest.raises(SimulationError, match="non-uniform value used in uniform control flow"):
+        simulator.launch(_branch_kernel("gid", all_lanes_off=False), NDRange(64, 64), {"out": out})
+    # The same branch on r0 is uniform and runs to completion.
+    simulator.launch(_branch_kernel("r0", all_lanes_off=False), NDRange(64, 64), {"out": out})
+    assert list(simulator.read_buffer(out, 64)) == list(range(64))

@@ -97,24 +97,67 @@ def test_golden_cycle_counts(name):
         assert result.stats.instructions_issued == instructions
 
 
-@pytest.mark.parametrize("name", ["div_int", "fir", "copy", "dot", "inclusive_scan"])
+# kernel -> {num_cus: scheduling events with macro-stepping on} at the
+# golden sizes.  The events are a work counter, not a result: they move only
+# when the batching of the issue loop changes, so a lost macro-step shows up
+# here as an exact diff.
+MACRO_ISSUE_EVENTS = {
+    "bitonic_sort": {1: 2752, 2: 2750},
+    "conv2d": {1: 424, 2: 419},
+    "copy": {1: 640, 2: 639},
+    "div_int": {1: 2675, 2: 2618},
+    "dot": {1: 1215, 2: 1210},
+    "fir": {1: 1128, 2: 1126},
+    "histogram": {1: 9260, 2: 9212},
+    "inclusive_scan": {1: 878, 2: 876},
+    "mat_mul": {1: 2116, 2: 2116},
+    "matmul2d": {1: 1415, 2: 1413},
+    "parallel_sel": {1: 6196, 2: 6196},
+    "reduce_sum": {1: 1151, 2: 1146},
+    "saxpy": {1: 960, 2: 960},
+    "transpose": {1: 480, 2: 480},
+    "vec_mul": {1: 1920, 2: 1919},
+    "xcorr": {1: 16474, 2: 16066},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
 def test_macro_stepping_is_cycle_exact(name):
-    """The fast path and single-instruction stepping must agree exactly."""
-    size, _, _ = ALL_GOLDEN[name]
-    outcomes = {}
-    for macro in (True, False):
-        spec = get_kernel_spec(name)
-        workload = spec.workload(size, SEED)
-        simulator = GGPUSimulator(GGPUConfig(num_cus=2))
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        result, outputs = run_workload(simulator, spec.build(), workload)
-        outcomes[macro] = (
-            result.cycles,
-            result.stats.instructions_issued,
-            {key: value.tolist() for key, value in outputs.items()},
+    """The fast path and single-instruction stepping must agree exactly.
+
+    Every kernel runs at its golden size on 1 and 2 CUs; the loop-heavy
+    ones (xcorr, histogram, parallel_sel, reduce_sum, bitonic_sort,
+    matmul2d) exercise the branches that macro-stepping batches.
+    """
+    size = ALL_GOLDEN[name][0]
+    for num_cus in (1, 2):
+        outcomes = {}
+        events = {}
+        for macro in (True, False):
+            spec = get_kernel_spec(name)
+            simulator = GGPUSimulator(GGPUConfig().with_cus(num_cus))
+            for cu in simulator.compute_units:
+                cu.macro_step = macro
+            result, outputs = run_workload(simulator, spec.build(), spec.workload(size, SEED))
+            stats = result.stats
+            outcomes[macro] = (
+                result.cycles,
+                stats.instructions_issued,
+                [
+                    (cu.instructions_issued, cu.busy_cycles, cu.active_lane_issues)
+                    for cu in stats.cu_stats
+                ],
+                asdict(stats.cache),
+                asdict(stats.traffic),
+                {key: value.tolist() for key, value in outputs.items()},
+            )
+            events[macro] = sum(cu.issue_events for cu in stats.cu_stats)
+        assert outcomes[True] == outcomes[False], f"{name} on {num_cus} CU(s)"
+        assert events[False] == outcomes[False][1]
+        assert events[True] == MACRO_ISSUE_EVENTS[name][num_cus], (
+            f"{name} on {num_cus} CU(s): macro-stepping issued in {events[True]} "
+            f"events, pinned {MACRO_ISSUE_EVENTS[name][num_cus]}"
         )
-    assert outcomes[True] == outcomes[False]
 
 
 def test_macro_stepping_batches_uncontended_runs():

@@ -73,3 +73,22 @@ def test_local_memory_round_trip_and_bounds():
         lram.load_words(np.array([64]))
     with pytest.raises(SimulationError):
         LocalMemory(0)
+
+
+@pytest.mark.parametrize("address", [6, 8192, -4], ids=["unaligned", "past_end", "negative"])
+def test_one_lane_load_raises_the_vector_path_error(address):
+    memory = GlobalMemory(4096)
+    with pytest.raises(SimulationError) as vector:
+        memory.load_words(np.full(64, address, dtype=np.int64))
+    with pytest.raises(SimulationError) as one_lane:
+        memory.load_words(np.array([address], dtype=np.int64))
+    assert str(one_lane.value) == str(vector.value)
+
+
+def test_one_lane_load_returns_a_copy():
+    memory = GlobalMemory(4096)
+    base = memory.allocate(2)
+    memory.write_buffer(base, [5, 9])
+    loaded = memory.load_words(np.array([base + 4]))
+    memory.store_words(np.array([base + 4]), np.array([1]))
+    assert loaded.tolist() == [9]

@@ -87,7 +87,9 @@ def test_earliest_ready_cache_tracks_mutations():
     first.ready_time = 20.0
     scheduler.notify_ready_changed()
     assert scheduler.earliest_ready() == 9.0
-    assert scheduler.earliest_ready_excluding(second) == 20.0
+    # select's one pass also yields the other residents' earliest ready time.
+    assert scheduler.select(9.0) is second
+    assert scheduler.others_ready == 20.0
     scheduler.remove(second)
     assert scheduler.earliest_ready() == 20.0
     assert scheduler.active_count() == 1
