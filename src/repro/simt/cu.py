@@ -273,12 +273,14 @@ class ComputeUnit:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def step(self, now: Optional[float] = None) -> List[Wavefront]:
+    def step(self, now: Optional[float] = None, budget: float = _INFINITY) -> List[Wavefront]:
         """Run one scheduling event; return the wavefronts retired by it.
 
         One event issues one instruction of one ready wavefront, plus — when
         the macro-stepping conditions hold — the uncontended macro-safe run
-        that follows it.
+        that follows it.  The run stops once the event has issued ``budget``
+        instructions, so a wavefront spinning in an endless uniform loop
+        returns control to the simulator's runaway-kernel bound.
         """
         program = self._program
         if program is None or self._rtm is None:
@@ -305,9 +307,10 @@ class ComputeUnit:
         ended_at_sync = False
         num_active = wavefront.num_active
         # Register indices were bounds-checked against the register file once
-        # at bind time, so the issue loop indexes the lane storage directly;
-        # writes to r0 are dropped (hardwired zero) and partially active
-        # wavefronts merge through the execution mask.
+        # at bind time, so the issue loop indexes the list of lane rows
+        # directly and every write rebinds a row (rows are never mutated in
+        # place); writes to r0 are dropped (hardwired zero) and partially
+        # active wavefronts merge through the execution mask.
         reg_rows = wavefront.registers._values
         lanes = wavefront.wavefront_size
 
@@ -427,7 +430,7 @@ class ComputeUnit:
             wavefront.ready_time = completion
 
             # --- macro-stepping continuation ------------------------------ #
-            if completion >= others_ready:
+            if completion >= others_ready or issued >= budget:
                 break
             if next_pc >= num_ops or not packed[next_pc][P_MACRO_SAFE]:
                 break
@@ -510,17 +513,18 @@ class ComputeUnit:
         if num_active == wavefront.wavefront_size:
             # Fully active wavefront (the common case): no masked gather or
             # zero-fill scatter, the loaded vector is the register value.
-            if lanes_uniform(base):
+            uniform = lanes_uniform(base)
+            if uniform:
                 # Every lane reads one word (a scalar operand or a loop-
                 # counter address): a one-lane view makes the same checks
-                # and touches the same single line, and the row assignment
-                # broadcasts the word to every lane.
+                # and touches the same single line, and the loaded word is
+                # broadcast to every lane.
                 base = base[:1]
             addresses = self._lane_addresses(base, op[P_IMM])
             result = self.global_memory.load_words(addresses)
             completion = self._memory_timing(addresses, access_time, is_write=False)
             if op[P_RD]:
-                rows[op[P_RD]] = result
+                rows[op[P_RD]] = result.repeat(num_active) if uniform else result
             return completion
         addresses = self._lane_addresses(base, op[P_IMM])
         mask = wavefront.active_mask

@@ -12,7 +12,8 @@ carrying
 * the timing facts (``latency``, ``uses_pe``) already looked up, and
 * per-kind pre-resolved data: the lane-arithmetic callable for register ALU
   forms, the broadcast immediate vector for immediate forms, and the branch
-  comparison for conditional branches.
+  comparison for conditional branches.  The broadcast vectors are
+  read-only: an ``LI`` result register shares its op's vector.
 
 ``macro_safe`` marks instructions (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL,
 MASK, BRANCH) that touch no shared machine state — no global memory, no
@@ -37,6 +38,7 @@ from repro.arch.assembler import Program
 from repro.arch.isa import Instruction, OpClass, Opcode
 from repro.errors import SimulationError
 from repro.simt import pe
+from repro.simt.registers import read_only
 from repro.simt.timing import TimingModel
 
 # Instruction kinds (dense ints the compute unit dispatches on).
@@ -251,10 +253,10 @@ def predecode_program(
             op.fn = pe.binary_operation(op.opcode)
         elif kind == K_ALU_IMM:
             op.fn = pe.binary_operation(pe.immediate_base(op.opcode))
-            op.const = np.full(wavefront_size, op.imm, dtype=np.int64) & pe.WORD_MASK
+            op.const = read_only(np.full(wavefront_size, op.imm, dtype=np.int64) & pe.WORD_MASK)
         elif kind == K_ALU_CONST:
             value = op.imm if op.opcode is Opcode.LI else op.imm << 14
-            op.const = np.full(wavefront_size, value & pe.WORD_MASK, dtype=np.int64)
+            op.const = read_only(np.full(wavefront_size, value & pe.WORD_MASK, dtype=np.int64))
         elif kind == K_BCOND:
             op.fn = _BCOND_CODES[op.opcode]
         ops.append(op)

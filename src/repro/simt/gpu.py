@@ -40,6 +40,10 @@ from repro.simt.trace import KernelRunStats
 
 ArgValue = Union[int, np.integer]
 
+# Defensive bound against runaway kernels: a launch may issue at most this
+# many wavefront-instructions over all its CUs, macro-stepped ones included.
+MAX_ISSUED_INSTRUCTIONS = 200_000_000
+
 
 @dataclass
 class LaunchResult:
@@ -235,10 +239,10 @@ class GGPUSimulator:
         compute_units = self.compute_units
         infinity = float("inf")
         last_completion = 0.0
-        guard = 0
-        max_steps = 200_000_000  # defensive bound against runaway kernels
         if len(compute_units) == 1:
-            return self._run_single_cu(dispatcher, max_steps)
+            return self._run_single_cu(dispatcher)
+        # Instructions the launch may still issue before it counts as runaway.
+        budget = MAX_ISSUED_INSTRUCTIONS
         # The schedulers are fixed for the whole launch (bind happened), so
         # the per-event time probes go straight to the cached minimum.
         event_times = [cu.scheduler.earliest_ready for cu in compute_units]
@@ -266,10 +270,12 @@ class GGPUSimulator:
                 heapq.heappush(heap, (current, index))
                 continue
             cu = compute_units[index]
-            retired = cu.step(current)
-            guard += 1
-            if guard > max_steps:
-                raise SimulationError("simulation exceeded the maximum step count")
+            stats = cu.stats
+            issued_before = stats.instructions_issued
+            retired = cu.step(current, budget)
+            budget -= stats.instructions_issued - issued_before
+            if budget < 0:
+                raise SimulationError("simulation exceeded the maximum issued-instruction count")
             for wavefront in retired:
                 if wavefront.completion_time > last_completion:
                     last_completion = wavefront.completion_time
@@ -283,7 +289,7 @@ class GGPUSimulator:
                 heapq.heappush(heap, (current, index))
         return last_completion
 
-    def _run_single_cu(self, dispatcher: WorkgroupDispatcher, max_steps: int) -> float:
+    def _run_single_cu(self, dispatcher: WorkgroupDispatcher) -> float:
         """Event loop specialization for one CU: no heap, no stale entries.
 
         Cycle-for-cycle identical to the heap loop — with a single CU the
@@ -291,10 +297,11 @@ class GGPUSimulator:
         tuple pushes and pops.
         """
         cu = self.compute_units[0]
+        stats = cu.stats
         next_event_time = cu.scheduler.earliest_ready
         infinity = float("inf")
         last_completion = 0.0
-        guard = 0
+        max_issued = MAX_ISSUED_INSTRUCTIONS
         while True:
             current = next_event_time()
             if current == infinity:
@@ -304,10 +311,9 @@ class GGPUSimulator:
                     self._refill_idle_cus(dispatcher, last_completion, [])
                     continue
                 break
-            retired = cu.step(current)
-            guard += 1
-            if guard > max_steps:
-                raise SimulationError("simulation exceeded the maximum step count")
+            retired = cu.step(current, max_issued - stats.instructions_issued)
+            if stats.instructions_issued > max_issued:
+                raise SimulationError("simulation exceeded the maximum issued-instruction count")
             for wavefront in retired:
                 if wavefront.completion_time > last_completion:
                     last_completion = wavefront.completion_time
@@ -342,3 +348,4 @@ class GGPUSimulator:
                 cu = self.compute_units[index]
                 cu.admit(wavefronts)
                 heapq.heappush(heap, (cu.next_event_time(), index))
+

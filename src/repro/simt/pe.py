@@ -34,10 +34,6 @@ def to_unsigned(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.int64) & WORD_MASK
 
 
-def _shift_amount(b: np.ndarray) -> np.ndarray:
-    return np.asarray(b, dtype=np.int64) & 0x1F
-
-
 def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a + b) & WORD_MASK
 
@@ -59,35 +55,35 @@ def _xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sll(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a << _shift_amount(b)) & WORD_MASK
+    return (a << (b & 31)) & WORD_MASK
 
 
 def _srl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a & WORD_MASK) >> _shift_amount(b)
+    return a >> (b & 31)
 
 
 def _sra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return to_unsigned(to_signed(a) >> _shift_amount(b))
+    return (((a ^ SIGN_BIT) - SIGN_BIT) >> (b & 31)) & WORD_MASK
 
 
 def _slt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (to_signed(a) < to_signed(b)).astype(np.int64)
+    return ((a ^ SIGN_BIT) < (b ^ SIGN_BIT)).astype(np.int64)
 
 
 def _sltu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a & WORD_MASK) < (b & WORD_MASK)).astype(np.int64)
+    return (a < b).astype(np.int64)
 
 
 def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return to_unsigned(np.minimum(to_signed(a), to_signed(b)))
+    return np.where((a ^ SIGN_BIT) < (b ^ SIGN_BIT), a, b)
 
 
 def _max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return to_unsigned(np.maximum(to_signed(a), to_signed(b)))
+    return np.where((a ^ SIGN_BIT) < (b ^ SIGN_BIT), b, a)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (to_signed(a) * to_signed(b)) & WORD_MASK
+    return (a * b) & WORD_MASK
 
 
 def _mulh(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Per-wavefront register file.
 
-Each work-item owns ``num_registers`` 32-bit general-purpose registers; a
-wavefront's register state is therefore a ``num_registers x wavefront_size``
-array.  In the hardware this is the banked SRAM register file inside each CU
-(one of the macros GPUPlanner splits to raise the clock frequency); here it is
-a numpy array with masked writes so inactive lanes keep their values across
-divergent control flow.
+Each work-item owns ``num_registers`` 32-bit general-purpose registers.  In
+the hardware this is the banked SRAM register file inside each CU (one of
+the macros GPUPlanner splits to raise the clock frequency); here it is a
+Python list of int64 lane vectors, one per register, with masked writes so
+inactive lanes keep their values across divergent control flow.
+
+Rows are immutable: a write rebinds the register's list entry and never
+mutates a row in place, so one vector may back several registers without a
+copy (the zero row of a fresh file, a decoded ``LI`` constant, a work-item
+id vector).  Vectors shared by construction are marked read-only, so an
+accidental in-place write raises instead of changing another register.
 """
 
 from __future__ import annotations
@@ -15,6 +20,12 @@ import numpy as np
 from repro.errors import SimulationError
 
 WORD_MASK = 0xFFFFFFFF
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    """Mark a lane vector read-only (it may back several registers) and return it."""
+    values.flags.writeable = False
+    return values
 
 
 class WavefrontRegisterFile:
@@ -29,7 +40,8 @@ class WavefrontRegisterFile:
             raise SimulationError("register file dimensions must be positive")
         self.num_registers = num_registers
         self.wavefront_size = wavefront_size
-        self._values = np.zeros((num_registers, wavefront_size), dtype=np.int64)
+        zero = read_only(np.zeros(wavefront_size, dtype=np.int64))
+        self._values = [zero] * num_registers
 
     def read(self, index: int) -> np.ndarray:
         """Read a register for all lanes (unsigned 32-bit values in int64)."""
@@ -42,8 +54,6 @@ class WavefrontRegisterFile:
         if index == 0:
             return
         values = np.asarray(values, dtype=np.int64) & WORD_MASK
-        if np.isscalar(values) or values.ndim == 0:
-            values = np.full(self.wavefront_size, int(values), dtype=np.int64)
         self._values[index] = np.where(mask, values, self._values[index])
 
     def write_all_lanes(self, index: int, values: np.ndarray) -> None:
@@ -51,7 +61,8 @@ class WavefrontRegisterFile:
         self._check(index)
         if index == 0:
             return
-        self._values[index] = np.asarray(values, dtype=np.int64) & WORD_MASK
+        values = np.asarray(values, dtype=np.int64) & WORD_MASK
+        self._values[index] = np.broadcast_to(values, (self.wavefront_size,))
 
     def set_row(self, index: int, values: np.ndarray) -> None:
         """Unconditional write of an already-masked int64 lane vector.
@@ -59,8 +70,7 @@ class WavefrontRegisterFile:
         The fast-path twin of :meth:`write_all_lanes`: every value produced
         inside the issue loop (PE lane arithmetic, memory loads, broadcast
         constants, work-item ids) is already wrapped to 32 bits, so the
-        per-write ``& WORD_MASK`` pass would re-mask masked data a quarter
-        million times per kernel.  Callers owning unmasked data must use
+        vector is stored as is.  Callers owning unmasked data must use
         :meth:`write_all_lanes`.
         """
         self._check(index)
@@ -73,12 +83,11 @@ class WavefrontRegisterFile:
         self._check(index)
         if index == 0:
             return
-        row = self._values[index]
-        self._values[index] = np.where(mask, values, row)
+        self._values[index] = np.where(mask, values, self._values[index])
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the whole register state (used by tests)."""
-        return self._values.copy()
+        """Copy of the whole register state, one row per register (used by tests)."""
+        return np.array(self._values)
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.num_registers:

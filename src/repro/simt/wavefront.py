@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simt.registers import WavefrontRegisterFile
+from repro.simt.registers import WavefrontRegisterFile, read_only
 
 
 def lanes_uniform(values: np.ndarray) -> bool:
@@ -93,6 +93,10 @@ class Wavefront:
             self.global_shape = (global_size,)
             self.workgroup_shape = (workgroup_size,)
             self.groups_shape = (num_workgroups,)
+        # LID/GID write these vectors into registers without a copy, so they
+        # are read-only like every other shared register row.
+        for ids in (*self.local_id_dims, *self.global_id_dims):
+            read_only(ids)
         # Lanes beyond the global size (possible only if the NDRange is not a
         # multiple of the wavefront size) start permanently inactive.
         self.active_mask &= self.global_ids < global_size

@@ -65,6 +65,68 @@ def test_shift_identities(values, amount):
     assert list(right) == [value >> amount for value in values]
 
 
+def _signed(value):
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
+def _div_reference(x, y):
+    sx, sy = _signed(x), _signed(y)
+    if sy == 0:
+        return -1
+    quotient = abs(sx) // abs(sy)
+    return -quotient if (sx < 0) != (sy < 0) else quotient
+
+
+def _rem_reference(x, y):
+    sx, sy = _signed(x), _signed(y)
+    return sx if sy == 0 else sx - _div_reference(x, y) * sy
+
+
+# Scalar 32-bit model of every three-register lane operation; results are
+# wrapped to u32 by the caller.
+SCALAR_REFERENCE = {
+    Opcode.ADD: lambda x, y: x + y,
+    Opcode.SUB: lambda x, y: x - y,
+    Opcode.AND: lambda x, y: x & y,
+    Opcode.OR: lambda x, y: x | y,
+    Opcode.XOR: lambda x, y: x ^ y,
+    Opcode.SLL: lambda x, y: x << (y & 31),
+    Opcode.SRL: lambda x, y: x >> (y & 31),
+    Opcode.SRA: lambda x, y: _signed(x) >> (y & 31),
+    Opcode.SLT: lambda x, y: int(_signed(x) < _signed(y)),
+    Opcode.SLTU: lambda x, y: int(x < y),
+    Opcode.MIN: lambda x, y: min(_signed(x), _signed(y)),
+    Opcode.MAX: lambda x, y: max(_signed(x), _signed(y)),
+    Opcode.MUL: lambda x, y: x * y,
+    Opcode.MULH: lambda x, y: (_signed(x) * _signed(y)) >> 32,
+    Opcode.DIV: _div_reference,
+    Opcode.REM: _rem_reference,
+}
+
+EDGE_WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+EDGE_PAIRS = [(x, y) for x in EDGE_WORDS for y in EDGE_WORDS]
+
+
+def test_scalar_reference_covers_every_binary_opcode():
+    assert set(SCALAR_REFERENCE) == set(pe._BINARY_OPS)
+
+
+@given(
+    st.sampled_from(sorted(SCALAR_REFERENCE, key=lambda opcode: opcode.name)),
+    st.lists(st.tuples(WORD, WORD), min_size=LANES, max_size=LANES),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_binary_op_matches_scalar_reference(opcode, drawn_pairs):
+    # Every example also runs all pairs of the edge words.
+    pairs = drawn_pairs + EDGE_PAIRS
+    a = _vec([x for x, _ in pairs])
+    b = _vec([y for _, y in pairs])
+    result = pe.execute_binary(opcode, a, b)
+    assert result.dtype == np.int64
+    reference = SCALAR_REFERENCE[opcode]
+    assert list(result) == [reference(x, y) & 0xFFFFFFFF for x, y in pairs]
+
+
 # --------------------------------------------------------------------------- #
 # Encoders are lossless
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,13 @@
 """Data cache and global memory controller (AXI) models."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.arch.config import AxiConfig, CacheConfig
 from repro.errors import SimulationError
-from repro.simt.axi import GlobalMemoryController
+from repro.simt.axi import GlobalMemoryController, MemoryTrafficStats
 from repro.simt.cache import CacheStats, DataCache
 
 
@@ -140,3 +142,86 @@ def test_one_line_dirty_eviction_claims_the_same_port_time():
     assert controllers[0].stats == controllers[1].stats
     assert controllers[0].earliest_free() == controllers[1].earliest_free()
     assert controllers[0].stats.write_backs == controllers[0].stats.line_fills == 1
+
+
+class _LinearScanPorts:
+    """Reference AXI port model: scan every port per claim, pick the first minimum."""
+
+    def __init__(self, axi: AxiConfig, transfer: int) -> None:
+        self.free = [0.0] * axi.data_ports
+        self.transfer = transfer
+        self.fill_latency = axi.memory_latency_cycles + transfer
+        self.stats = MemoryTrafficStats()
+
+    def _claim(self, now: float) -> float:
+        best = min(range(len(self.free)), key=self.free.__getitem__)
+        start = max(now, self.free[best])
+        self.free[best] = start + self.transfer
+        self.stats.busy_cycles += self.transfer
+        return start
+
+    def line_fill(self, now: float) -> float:
+        self.stats.line_fills += 1
+        return self._claim(now) + self.fill_latency
+
+    def write_back(self, now: float) -> float:
+        self.stats.write_backs += 1
+        return self._claim(now) + self.transfer
+
+    def miss_burst(self, access_time, ports, hit_list, wb_list, completion):
+        last_hit = -1
+        for position, hit in enumerate(hit_list):
+            wave_start = access_time + position // ports
+            if hit:
+                last_hit = position
+                continue
+            if wb_list[position]:
+                self.write_back(wave_start)
+            completion = max(completion, self.line_fill(wave_start))
+        return completion, last_hit
+
+    def write_back_burst(self, now: float, count: int) -> float:
+        done = now
+        for _ in range(count):
+            done = self.write_back(now)
+        return done
+
+    def earliest_free(self) -> float:
+        return min(self.free)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_port_heap_matches_linear_scan_reference(seed):
+    rng = random.Random(seed)
+    axi = AxiConfig(
+        data_ports=rng.randint(1, 4),
+        data_width_bits=rng.choice((32, 64, 128)),
+        memory_latency_cycles=rng.randint(1, 60),
+    )
+    controller = GlobalMemoryController(axi, CacheConfig())
+    reference = _LinearScanPorts(axi, controller.line_transfer_cycles)
+    now = 0.0
+    for _ in range(300):
+        # Mostly forward in time, sometimes back behind the busy ports, with
+        # half-cycle steps, so the ports' free times stay uneven.
+        now = max(0.0, now + rng.choice((-40, -3, 0, 0.5, 1, 2, 7, 25)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            args = (now,)
+            outcome = controller.line_fill(*args), reference.line_fill(*args)
+        elif kind == 1:
+            args = (now,)
+            outcome = controller.write_back(*args), reference.write_back(*args)
+        elif kind == 2:
+            count = rng.randint(1, 12)
+            hits = [rng.random() < 0.4 for _ in range(count)]
+            write_backs = [not hit and rng.random() < 0.5 for hit in hits]
+            args = (now, rng.randint(1, 4), hits, write_backs, now + rng.randint(0, 5))
+            outcome = controller.miss_burst(*args), reference.miss_burst(*args)
+        else:
+            args = (now, rng.randint(0, 6))
+            outcome = controller.write_back_burst(*args), reference.write_back_burst(*args)
+        assert outcome[0] == outcome[1], (kind, args)
+        assert controller.stats == reference.stats
+        assert controller.earliest_free() == reference.earliest_free()
+    assert controller.stats.transactions > 300

@@ -1,5 +1,7 @@
 """Compute unit and top-level simulator behaviour on small hand-built kernels."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from repro.arch.config import GGPUConfig
 from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
 from repro.errors import ConfigurationError, KernelError, SimulationError
+from repro.simt import gpu as gpu_module
 from repro.simt.gpu import GGPUSimulator
+from repro.simt.wavefront import Wavefront
 from repro.simt.timing import TimingModel
 from repro.arch.isa import OpClass
 
@@ -199,6 +203,26 @@ def test_uniform_address_load_broadcasts_one_word(simulator):
     assert result.stats.cache.read_misses == 1
 
 
+def test_uniform_address_load_fills_a_full_register_row(simulator):
+    # CMASK checks its condition's lane count, so a one-lane row would raise.
+    builder = KernelBuilder("uniform_mask", args=(KernelArg("ptr"), KernelArg("out")))
+    gid, ptr, out, addr, flag = (builder.alloc(name) for name in ("gid", "ptr", "out", "addr", "flag"))
+    builder.global_id(gid)
+    builder.load_arg(ptr, "ptr")
+    builder.load_arg(out, "out")
+    builder.emit(Opcode.LW, rd=flag, rs=ptr, imm=0)
+    builder.emit(Opcode.PUSHM)
+    builder.emit(Opcode.CMASK, rs=flag)
+    builder.address_of_element(addr, out, gid)
+    builder.emit(Opcode.SW, rs=addr, rt=flag, imm=0)
+    builder.emit(Opcode.POPM)
+    builder.ret()
+    source = simulator.create_buffer([1])
+    out_buffer = simulator.allocate_buffer(64)
+    simulator.launch(builder.build(), NDRange(64, 64), {"ptr": source, "out": out_buffer})
+    assert list(simulator.read_buffer(out_buffer, 64)) == [1] * 64
+
+
 @pytest.mark.parametrize("offset", [2, None], ids=["unaligned", "out_of_range"])
 def test_uniform_address_load_raises_the_vector_path_error(simulator, offset):
     out = simulator.allocate_buffer(64)
@@ -247,3 +271,121 @@ def test_branch_on_non_uniform_operand_raises(simulator):
     # The same branch on r0 is uniform and runs to completion.
     simulator.launch(_branch_kernel("r0", all_lanes_off=False), NDRange(64, 64), {"out": out})
     assert list(simulator.read_buffer(out, 64)) == list(range(64))
+
+
+# --------------------------------------------------------------------- #
+# Runaway-kernel bound (counts issued wavefront-instructions)
+# --------------------------------------------------------------------- #
+def _spin_kernel() -> Kernel:
+    """``top: ADDI r1, r1, 1; JMP top``: a uniform loop that never returns."""
+    builder = KernelBuilder("spin", args=(KernelArg("out"),))
+    counter = builder.alloc("counter")
+    top = builder.label()
+    builder.emit(Opcode.ADDI, rd=counter, rs=counter, imm=1)
+    builder.emit(Opcode.JMP, label=top)
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize("num_cus", [1, 2])
+def test_runaway_kernel_hits_the_instruction_bound(monkeypatch, num_cus):
+    # One wavefront per CU: each spins alone, so its whole loop would be
+    # macro-stepped inside one scheduling event without the bound.
+    monkeypatch.setattr(gpu_module, "MAX_ISSUED_INSTRUCTIONS", 5_000)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), memory_bytes=1024 * 1024)
+    out = simulator.allocate_buffer(64)
+
+    def hung(signum, frame):
+        raise TimeoutError("the runaway kernel did not stop at the bound")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(SimulationError, match="maximum issued-instruction count"):
+            simulator.launch(_spin_kernel(), NDRange(64 * num_cus, 64), {"out": out})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    issued = sum(cu.stats.instructions_issued for cu in simulator.compute_units)
+    assert issued == 5_001
+
+
+@pytest.mark.parametrize("num_cus", [1, 2])
+def test_instruction_bound_is_exact(monkeypatch, num_cus):
+    def run():
+        simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), memory_bytes=1024 * 1024)
+        out = simulator.allocate_buffer(512)
+        result = simulator.launch(_iota_kernel(), NDRange(512, 64), {"out": out})
+        return result, list(simulator.read_buffer(out, 512))
+
+    reference, values = run()
+    issued = reference.stats.instructions_issued
+    monkeypatch.setattr(gpu_module, "MAX_ISSUED_INSTRUCTIONS", issued)
+    bounded, bounded_values = run()
+    assert bounded.cycles == reference.cycles
+    assert bounded.stats.instructions_issued == issued
+    assert bounded_values == values == [gid * 2 + 1 for gid in range(512)]
+    monkeypatch.setattr(gpu_module, "MAX_ISSUED_INSTRUCTIONS", issued - 1)
+    with pytest.raises(SimulationError, match="maximum issued-instruction count"):
+        run()
+
+
+# --------------------------------------------------------------------- #
+# Register rows are shared, never written in place
+# --------------------------------------------------------------------- #
+def _alias_kernel() -> Kernel:
+    """``LI r1; ADD r2, r1, r0; ADDI r1, r1, 1``, then store r1 and r2."""
+    builder = KernelBuilder("alias", args=(KernelArg("out"),))
+    gid = builder.alloc("gid")
+    out = builder.alloc("out")
+    addr = builder.alloc("addr")
+    first = builder.alloc("first")
+    copy = builder.alloc("copy")
+    builder.global_id(gid)
+    builder.load_arg(out, "out")
+    builder.emit(Opcode.LI, rd=first, imm=41)
+    builder.emit(Opcode.ADD, rd=copy, rs=first, rt=0)
+    builder.emit(Opcode.ADDI, rd=first, rs=first, imm=1)
+    builder.emit(Opcode.SLLI, rd=addr, rs=gid, imm=3)
+    builder.emit(Opcode.ADD, rd=addr, rs=addr, rt=out)
+    builder.emit(Opcode.SW, rs=addr, rt=first, imm=0)
+    builder.emit(Opcode.SW, rs=addr, rt=copy, imm=4)
+    builder.ret()
+    return builder.build()
+
+
+def test_register_write_leaves_a_copied_register_unchanged(simulator):
+    out = simulator.allocate_buffer(128)
+    simulator.launch(_alias_kernel(), NDRange(64, 64), {"out": out})
+    assert list(simulator.read_buffer(out, 128)) == [42, 41] * 64
+
+
+def test_shared_rows_are_read_only():
+    from repro.simt.decode import predecode_program
+
+    wavefront = Wavefront(0, 0, 0, 64, 32, 64, 64, 1)
+    shared = [
+        wavefront.registers._values[0],
+        *wavefront.local_id_dims,
+        *wavefront.global_id_dims,
+        *(op.const for op in predecode_program(_alias_kernel().program) if op.const is not None),
+    ]
+    assert len(shared) == 6  # zero row, LID and GID, LI/ADDI/SLLI constants
+    for row in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 7
+
+
+def test_register_read_and_snapshot_are_copies():
+    wavefront = Wavefront(0, 0, 0, 8, 4, 8, 8, 1)
+    registers = wavefront.registers
+    registers.set_row(1, wavefront.global_id_dims[0])
+    registers.set_row(2, wavefront.global_id_dims[0])
+    value = registers.read(1)
+    snapshot = registers.snapshot()
+    value[:] = 99
+    snapshot[:] = 99
+    assert list(registers.read(1)) == list(range(8))
+    assert list(registers.read(2)) == list(range(8))
+    assert list(wavefront.global_id_dims[0]) == list(range(8))
+    assert registers.snapshot().shape == (4, 8)
