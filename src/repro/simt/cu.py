@@ -307,10 +307,9 @@ class ComputeUnit:
         ended_at_sync = False
         num_active = wavefront.num_active
         # Register indices were bounds-checked against the register file once
-        # at bind time, so the issue loop indexes the list of lane rows
-        # directly and every write rebinds a row (rows are never mutated in
-        # place); writes to r0 are dropped (hardwired zero) and partially
-        # active wavefronts merge through the execution mask.
+        # at bind time, so the issue loop indexes the lane rows directly; a
+        # write rebinds a row, never mutates it, writes to r0 are dropped
+        # and partially active wavefronts merge through the execution mask.
         reg_rows = wavefront.registers._values
         lanes = wavefront.wavefront_size
 

@@ -348,4 +348,3 @@ class GGPUSimulator:
                 cu = self.compute_units[index]
                 cu.admit(wavefronts)
                 heapq.heappush(heap, (cu.next_event_time(), index))
-

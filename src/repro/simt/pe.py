@@ -6,6 +6,11 @@ the arithmetic of every ALU/MUL/DIV opcode as a numpy operation over the lane
 vectors, with 32-bit wrap-around semantics and RISC-style division behaviour
 (divide by zero yields -1 for the quotient and the dividend for the
 remainder).
+
+Precondition: every operand lane holds an unsigned 32-bit value in int64.
+Register writes, loads, immediates and id vectors are all masked, so the
+operations of :func:`binary_operation` never re-mask their inputs;
+:func:`execute_binary` and :func:`execute_immediate` mask them first.
 """
 
 from __future__ import annotations
@@ -143,12 +148,15 @@ _IMMEDIATE_TO_BINARY: Dict[Opcode, Opcode] = {
 
 
 def execute_binary(opcode: Opcode, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Execute a three-register ALU/MUL/DIV operation over the lane vectors."""
+    """Execute a three-register ALU/MUL/DIV operation over the lane vectors.
+
+    Operands are first wrapped to u32 lanes, so any integer input works.
+    """
     try:
         operation = _BINARY_OPS[opcode]
     except KeyError as exc:
         raise SimulationError(f"{opcode.mnemonic} is not a binary ALU operation") from exc
-    return operation(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    return operation(to_unsigned(a), to_unsigned(b))
 
 
 def execute_immediate(opcode: Opcode, a: np.ndarray, imm: int, lanes: int) -> np.ndarray:
@@ -161,16 +169,15 @@ def execute_immediate(opcode: Opcode, a: np.ndarray, imm: int, lanes: int) -> np
         base = _IMMEDIATE_TO_BINARY[opcode]
     except KeyError as exc:
         raise SimulationError(f"{opcode.mnemonic} is not an immediate ALU operation") from exc
-    broadcast = np.full(lanes, imm, dtype=np.int64) & WORD_MASK
-    return execute_binary(base, a, broadcast)
+    return execute_binary(base, a, np.full(lanes, imm, dtype=np.int64))
 
 
 def binary_operation(opcode: Opcode) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Resolve the lane-arithmetic callable of a three-register opcode.
 
     Used by the instruction pre-decoder so the per-issue path can call the
-    operation directly instead of going through the dict lookup in
-    :func:`execute_binary`.
+    operation directly instead of going through the dict lookup (and the
+    operand masking) of :func:`execute_binary`.
     """
     try:
         return _BINARY_OPS[opcode]

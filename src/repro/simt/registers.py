@@ -6,11 +6,10 @@ the macros GPUPlanner splits to raise the clock frequency); here it is a
 Python list of int64 lane vectors, one per register, with masked writes so
 inactive lanes keep their values across divergent control flow.
 
-Rows are immutable: a write rebinds the register's list entry and never
-mutates a row in place, so one vector may back several registers without a
-copy (the zero row of a fresh file, a decoded ``LI`` constant, a work-item
-id vector).  Vectors shared by construction are marked read-only, so an
-accidental in-place write raises instead of changing another register.
+A write rebinds the register's entry and never mutates a row, so one
+vector may back several registers (the zero row, a decoded ``LI`` constant,
+an id vector); such shared vectors are read-only, so a stray in-place write
+raises instead of changing another register.
 """
 
 from __future__ import annotations
@@ -70,8 +69,9 @@ class WavefrontRegisterFile:
         The fast-path twin of :meth:`write_all_lanes`: every value produced
         inside the issue loop (PE lane arithmetic, memory loads, broadcast
         constants, work-item ids) is already wrapped to 32 bits, so the
-        vector is stored as is.  Callers owning unmasked data must use
-        :meth:`write_all_lanes`.
+        vector is kept by reference, unmasked and unchecked: it must be
+        ``wavefront_size`` long and never be mutated afterwards.  Callers
+        owning unmasked or mutable data must use :meth:`write_all_lanes`.
         """
         self._check(index)
         if index == 0:

@@ -93,8 +93,7 @@ class Wavefront:
             self.global_shape = (global_size,)
             self.workgroup_shape = (workgroup_size,)
             self.groups_shape = (num_workgroups,)
-        # LID/GID write these vectors into registers without a copy, so they
-        # are read-only like every other shared register row.
+        # LID/GID store these vectors in registers uncopied: make them read-only.
         for ids in (*self.local_id_dims, *self.global_id_dims):
             read_only(ids)
         # Lanes beyond the global size (possible only if the NDRange is not a

@@ -36,6 +36,21 @@ def test_shifts():
     assert list(pe.execute_binary(Opcode.SLL, np.array([1]), np.array([33]))) == [2]
 
 
+def test_public_entry_points_wrap_unmasked_operands():
+    # execute_binary/execute_immediate read any integer lane as its 32-bit
+    # word; only the pre-resolved operations assume u32 lanes.
+    minus_one = np.array([-1, -1])
+    word = np.array([0xFFFFFFFF, 0xFFFFFFFF])
+    for opcode in (Opcode.SRL, Opcode.SLTU, Opcode.MIN, Opcode.MAX, Opcode.AND, Opcode.MUL):
+        assert list(pe.execute_binary(opcode, minus_one, np.array([1, -2]))) == list(
+            pe.execute_binary(opcode, word, np.array([1, 0xFFFFFFFE]))
+        )
+    assert list(pe.execute_binary(Opcode.SRL, minus_one, np.array([1, 1]))) == [0x7FFFFFFF] * 2
+    assert list(pe.execute_binary(Opcode.SLTU, np.array([1]), np.array([-1]))) == [1]
+    assert list(pe.execute_binary(Opcode.MAX, np.array([-1]), np.array([0]))) == [0]
+    assert list(pe.execute_immediate(Opcode.SRLI, minus_one, 4, 2)) == [0x0FFFFFFF] * 2
+
+
 def test_mul_and_mulh():
     a = np.array([0x7FFFFFFF])
     b = np.array([2])

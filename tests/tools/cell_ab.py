@@ -33,6 +33,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+SCALE = 0.25  # input-size scale of the benchmark's table3-sweep workload
+SEED = 2022  # input seed of every cell
+ORDER_SEED = 0  # seed of the per-cell run order
+
 
 def _worker(tree: Path) -> None:
     """Serve cell requests (one JSON object per line) for one source tree."""
@@ -45,13 +49,13 @@ def _worker(tree: Path) -> None:
         if request["op"] == "cells":
             names = request["kernels"] or all_kernel_names()
             reply = [
-                [name, BenchmarkSizes.paper(name).scaled(request["scale"]).gpu_size]
+                [name, BenchmarkSizes.paper(name).scaled(SCALE).gpu_size]
                 for name in names
             ]
         else:
             start = time.perf_counter()
             measurement = measure_gpu_kernel(
-                request["kernel"], request["num_cus"], request["size"], request["seed"]
+                request["kernel"], request["num_cus"], request["size"], SEED
             )
             reply = {"wall": time.perf_counter() - start, "cycles": measurement.cycles}
         sys.stdout.write(json.dumps(reply) + "\n")
@@ -90,27 +94,24 @@ def run_ab(
     base: Path,
     change: Path,
     rounds: int,
-    scale: float,
-    seed: int,
     kernels: Optional[List[str]],
     cu_counts: List[int],
-    order_seed: int,
 ) -> List[float]:
     """Run the A/B and print its report; returns the per-round ratios."""
     workers = {"base": _Worker(base), "change": _Worker(change)}
     try:
-        query = {"op": "cells", "kernels": kernels, "scale": scale}
+        query = {"op": "cells", "kernels": kernels}
         cells = workers["base"].ask(query)
         if workers["change"].ask(query) != cells:
             raise SystemExit("the two trees disagree on the Table III cell sizes")
         requests = [
-            {"op": "run", "kernel": name, "size": size, "num_cus": num_cus, "seed": seed}
+            {"op": "run", "kernel": name, "size": size, "num_cus": num_cus}
             for name, size in cells
             for num_cus in cu_counts
         ]
         for worker in workers.values():  # warm-up: imports and first-use caches
             worker.ask(requests[0])
-        order = random.Random(order_seed)
+        order = random.Random(ORDER_SEED)
         ratios = []
         print(f"{len(requests)} cells per round, {rounds} round(s)")
         for round_index in range(rounds):
@@ -150,14 +151,9 @@ def main() -> int:
     parser.add_argument("--base", type=Path, help="parent source tree (holds src/repro)")
     parser.add_argument("--change", type=Path, help="changed source tree (holds src/repro)")
     parser.add_argument("--rounds", type=int, default=5, help="passes over all cells (default 5)")
-    parser.add_argument("--scale", type=float, default=0.25, help="input-size scale (default 0.25)")
-    parser.add_argument("--seed", type=int, default=2022, help="input seed (default 2022)")
     parser.add_argument("--kernels", nargs="+", help="kernels to run (default: all 16)")
     parser.add_argument(
         "--cus", type=int, nargs="+", default=[1, 2, 4, 8], help="CU counts (default 1 2 4 8)"
-    )
-    parser.add_argument(
-        "--order-seed", type=int, default=0, help="seed of the per-cell run order (default 0)"
     )
     args = parser.parse_args()
     if args.worker is not None:
@@ -170,16 +166,7 @@ def main() -> int:
     for tree in (args.base, args.change):
         if not (tree / "src" / "repro").is_dir():
             parser.error(f"{tree} holds no src/repro")
-    run_ab(
-        args.base.resolve(),
-        args.change.resolve(),
-        args.rounds,
-        args.scale,
-        args.seed,
-        args.kernels,
-        args.cus,
-        args.order_seed,
-    )
+    run_ab(args.base.resolve(), args.change.resolve(), args.rounds, args.kernels, args.cus)
     return 0
 
 
