@@ -19,6 +19,7 @@ Two acceptance measurements for the fault-tolerant runtime, recorded to
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, Optional
@@ -51,6 +52,10 @@ MEMORY_BYTES = 64 * 1024 * 1024
 # to a pure-python cycle-accurate simulation; anything past this bound means
 # the no-fault path grew real work.
 MAX_ARMED_IDLE_OVERHEAD = 0.25
+# Interleaved baseline/armed pairs behind the overhead figure.  One pair
+# taken right after a cold start swung past the bound on host noise alone;
+# the median over warm, interleaved pairs does not.
+OVERHEAD_PAIRS = 3
 
 
 def _record(section: str, payload: dict) -> None:
@@ -98,12 +103,22 @@ def _run_suite_batch(faults: Optional[FaultPlan]) -> Dict[str, object]:
     }
 
 
+def _interleaved_pairs():
+    """(baseline, armed-idle) batch pairs, alternating which arm runs first."""
+    pairs = []
+    for index in range(OVERHEAD_PAIRS):
+        arms = {}
+        for faults in ((None, FaultPlan()) if index % 2 == 0 else (FaultPlan(), None)):
+            arms["baseline" if faults is None else "armed"] = _run_suite_batch(faults)
+        pairs.append((arms["baseline"], arms["armed"]))
+    return pairs
+
+
 @pytest.mark.benchmark(group="faults")
 def test_fault_injection_overhead(benchmark):
-    baseline = _run_suite_batch(faults=None)
-    armed = benchmark.pedantic(
-        lambda: _run_suite_batch(faults=FaultPlan()), rounds=1, iterations=1
-    )
+    _run_suite_batch(faults=None)  # warm-up: imports and first-use caches
+    pairs = benchmark.pedantic(_interleaved_pairs, rounds=1, iterations=1)
+    baseline = pairs[0][0]
     mixed_plan = FaultPlan(
         specs=(
             FaultSpec(kind=TRANSFER_STALL, device=0, at_command=0),
@@ -113,14 +128,15 @@ def test_fault_injection_overhead(benchmark):
     )
     faulted = _run_suite_batch(faults=mixed_plan)
 
-    overhead = armed["wall"] / baseline["wall"] - 1.0
+    overhead = statistics.median(armed["wall"] / base["wall"] for base, armed in pairs) - 1.0
     _record(
         "fault_injection_overhead",
         {
             "kernels": len(all_kernel_names()),
             "num_devices": NUM_DEVICES,
-            "baseline_wall_seconds": round(baseline["wall"], 3),
-            "armed_idle_wall_seconds": round(armed["wall"], 3),
+            "pairs": OVERHEAD_PAIRS,
+            "baseline_wall_seconds": round(statistics.median(b["wall"] for b, _ in pairs), 3),
+            "armed_idle_wall_seconds": round(statistics.median(a["wall"] for _, a in pairs), 3),
             "armed_idle_overhead": round(overhead, 4),
             "faulted_wall_seconds": round(faulted["wall"], 3),
             "faulted_makespan_ratio": round(
@@ -133,9 +149,11 @@ def test_fault_injection_overhead(benchmark):
     )
 
     # An armed-but-idle injector must not perturb the schedule at all...
-    assert armed["schedule"] == baseline["schedule"]
-    assert armed["makespan"] == baseline["makespan"]
-    # ...and must stay within the wall-clock acceptance bound.
+    for base, armed in pairs:
+        assert base["schedule"] == baseline["schedule"]
+        assert armed["schedule"] == baseline["schedule"]
+        assert armed["makespan"] == baseline["makespan"]
+    # ...and must stay within the wall-clock acceptance bound (median ratio).
     assert overhead <= MAX_ARMED_IDLE_OVERHEAD, overhead
     # The faulted arm recovered (degraded, never corrupted or stuck).
     assert faulted["devices_lost"] == 1

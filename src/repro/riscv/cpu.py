@@ -11,10 +11,10 @@ multi-cycle serial divider.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.riscv.decode import RvDecodedProgram, predecode_riscv_program
+from repro.riscv.decode import BlockFault, RvDecodedProgram, predecode_riscv_program
 from repro.riscv.isa import RvFormat, RvInstruction, RvOpcode
 from repro.riscv.assembler import RvProgram
 from repro.riscv.memory import RvMemory
@@ -90,15 +90,55 @@ def _signed(value: int) -> int:
     return value - (1 << 32) if value & 0x80000000 else value
 
 
+def _block_stats(
+    decoded: RvDecodedProgram,
+    instructions: int,
+    exits: List[int],
+    partial: List[Tuple[int, int]],
+) -> CpuStats:
+    """The statistics of a block-compiled run.
+
+    ``exits[pc >> 1]`` / ``exits[(pc >> 1) + 1]`` count how often the block
+    at ``pc`` left through exit 0 / exit 1 (a taken branch); ``partial``
+    lists the ``(pc, length)`` instruction runs executed outside whole
+    blocks.
+    """
+    cycles = 0
+    taken_branches = 0
+    mnemonic_counts = dict.fromkeys(decoded.mnemonics, 0)
+    for pc, block in decoded.blocks.items():
+        fall_through, taken = exits[pc >> 1], exits[(pc >> 1) + 1]
+        executed = fall_through + taken
+        if executed:
+            cycles += executed * block.cycles
+            cycles += fall_through * block.exit_cycles[0] + taken * block.exit_cycles[1]
+            taken_branches += taken
+            for mnemonic, count in block.histogram.items():
+                mnemonic_counts[mnemonic] += executed * count
+    for pc, length in partial:
+        cycles += sum(decoded.costs[pc >> 2 : (pc >> 2) + length])
+        for mnemonic, count in decoded.histogram(pc, length).items():
+            mnemonic_counts[mnemonic] += count
+    return CpuStats(
+        instructions=instructions,
+        cycles=cycles,
+        loads=mnemonic_counts.get("lw", 0),
+        stores=mnemonic_counts.get("sw", 0),
+        taken_branches=taken_branches,
+        mnemonic_counts={m: count for m, count in mnemonic_counts.items() if count},
+    )
+
+
 class RiscvCpu:
     """Functional RV32IM simulator with the cycle model above.
 
     Two execution paths produce bit-identical results, cycle counts, and
     statistics:
 
-    * the *pre-decoded* path (default): the program is resolved once into
-      per-instruction handler closures (:mod:`repro.riscv.decode`) and the
-      run loop is a tight threaded dispatch with flat-array opcode counters,
+    * the *pre-decoded* path (default): the program is compiled into
+      basic blocks, one generated Python function each
+      (:mod:`repro.riscv.decode`), and the run loop dispatches once per
+      block, counting instructions and block exits only,
     * the *interpreted* path (``predecode = False``): the seed interpreter,
       which re-derives the opcode class and cycle cost per executed
       instruction.  It is kept as the reference for the equivalence tests,
@@ -143,10 +183,10 @@ class RiscvCpu:
     ) -> CpuStats:
         """Execute ``program`` until EBREAK; returns the statistics.
 
-        ``decoded`` lets callers reuse one :class:`RvDecodedProgram` across
-        runs (it must have been decoded against this CPU's cycle model); when
-        omitted the program is decoded on entry, which is microseconds of
-        work for the benchmark-sized programs.
+        ``decoded`` lets callers reuse one :class:`RvDecodedProgram`, and the
+        blocks it has compiled, across runs (it must have been decoded
+        against this CPU's cycle model); when omitted the program is decoded
+        on entry and each block is compiled when first entered.
         """
         self.pc = entry_pc
         self.halted = False
@@ -161,66 +201,76 @@ class RiscvCpu:
         entry_pc: int,
         decoded: Optional[RvDecodedProgram],
     ) -> CpuStats:
-        """Threaded-dispatch run loop over the pre-decoded handler table."""
+        """Block-at-a-time run loop over the compiled basic blocks."""
         if decoded is None:
             decoded = predecode_riscv_program(program, self.cycle_model)
-        # The handlers assume masked register values (they skip the seed
+        # The blocks assume masked register values (they skip the seed
         # interpreter's per-read ``& WORD_MASK``); normalize any externally
-        # poked state once.  x0 is folded to 0 at decode time and never read
+        # poked state once.  x0 is folded to 0 at compile time and never read
         # or written through the register list.
         regs = self.registers
         for index in range(32):
             regs[index] &= WORD_MASK
-        memory = self.memory
-        handlers = decoded.handlers
-        mnemonic_indices = decoded.mnemonic_indices
-        counts = [0] * len(decoded.mnemonics)
+        words = self.memory.words
+        size = self.memory.size_bytes
+        get_block = decoded.blocks.get
+        # Exits taken per block (block at ``pc`` owns slots ``pc >> 1`` and
+        # ``(pc >> 1) + 1``), plus the instruction runs charged outside whole
+        # blocks: the EBREAK, a block cut at the instruction limit, and the
+        # prefix of a faulting block.
+        exits = [0] * (2 * len(decoded))
+        partial: List[Tuple[int, int]] = []
         limit = self.max_instructions
-        size_bytes = 4 * len(handlers)
         pc = entry_pc
         instructions = 0
-        cycles = 0
-        taken_branches = 0
         try:
             while True:
-                if instructions >= limit:
-                    raise SimulationError("RISC-V simulation exceeded the instruction limit")
-                if not 0 <= pc < size_bytes:
-                    raise SimulationError(f"PC {pc:#x} is outside the program")
-                if pc & 3:
-                    raise SimulationError(
-                        f"misaligned PC {pc:#x}: instruction addresses must be 4-byte aligned"
-                    )
-                index = pc >> 2
-                handler = handlers[index]
-                if handler is None:  # EBREAK: halt
-                    counts[mnemonic_indices[index]] += 1
-                    instructions += 1
-                    cycles += decoded.ebreak_cost
-                    pc += 4
-                    self.halted = True
-                    break
-                next_pc, cost, taken = handler(regs, memory)
-                counts[mnemonic_indices[index]] += 1
-                instructions += 1
-                cycles += cost
-                taken_branches += taken
-                pc = next_pc
+                block = get_block(pc)
+                if block is None:
+                    if instructions >= limit:
+                        raise SimulationError("RISC-V simulation exceeded the instruction limit")
+                    if not 0 <= pc < 4 * len(decoded):
+                        raise SimulationError(f"PC {pc:#x} is outside the program")
+                    if pc & 3:
+                        raise SimulationError(
+                            f"misaligned PC {pc:#x}: instruction addresses must be 4-byte aligned"
+                        )
+                    if decoded.is_halt(pc):
+                        partial.append((pc, 1))
+                        instructions += 1
+                        pc += 4
+                        self.halted = True
+                        break
+                    block = decoded.block(pc)
+                run, length, _, _, _, _ = block
+                instructions += length
+                if instructions > limit:
+                    # The limit falls inside this block: run exactly the
+                    # instructions left, then raise at the next block entry.
+                    instructions -= length
+                    length = limit - instructions
+                    if length == 0:
+                        raise SimulationError("RISC-V simulation exceeded the instruction limit")
+                    run = decoded.compile_block(pc, length).run
+                    instructions = limit
+                    next_pc = run(regs, words, size)[0]
+                    partial.append((pc, length))
+                    pc = next_pc
+                    continue
+                pc, exit_slot = run(regs, words, size)
+                exits[exit_slot] += 1
+        except BlockFault as fault:
+            # Charge the block's completed prefix; ``pc`` still holds the
+            # block's entry, so it lands on the faulting instruction.
+            instructions += fault.position - length
+            partial.append((pc, fault.position))
+            pc += 4 * fault.position
+            raise SimulationError(str(fault)) from None
         finally:
             # Materialize the statistics exactly once (also on errors, so the
             # partial counts match what the interpreted path would have
             # accumulated instruction by instruction).
-            mnemonics = decoded.mnemonics
-            self.stats = CpuStats(
-                instructions=instructions,
-                cycles=cycles,
-                loads=counts[decoded.load_index] if decoded.load_index >= 0 else 0,
-                stores=counts[decoded.store_index] if decoded.store_index >= 0 else 0,
-                taken_branches=taken_branches,
-                mnemonic_counts={
-                    mnemonics[slot]: count for slot, count in enumerate(counts) if count
-                },
-            )
+            self.stats = _block_stats(decoded, instructions, exits, partial)
             self.pc = pc
         return self.stats
 

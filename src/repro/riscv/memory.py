@@ -9,6 +9,7 @@ the evaluation harness can lay out the same buffers on both targets.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +19,27 @@ from repro.errors import SimulationError
 WORD_BYTES = 4
 
 
+def word_access_error(byte_addr: int) -> str:
+    """Error text of a faulting word access: misalignment wins over range."""
+    if byte_addr % WORD_BYTES:
+        return f"unaligned word access at {byte_addr:#x}"
+    return f"data access out of range: {byte_addr:#x}"
+
+
 class RvMemory:
-    """Word-addressable data memory with a bump allocator."""
+    """Word-addressable data memory with a bump allocator.
+
+    ``words`` holds the memory as a typed array of unsigned 32-bit values
+    (a store outside that range raises): the compiled blocks of
+    :mod:`repro.riscv.decode` index it directly, which costs far less per
+    access than a numpy element.
+    """
 
     def __init__(self, size_bytes: int = 32 * 1024) -> None:
         if size_bytes <= 0 or size_bytes % WORD_BYTES:
             raise SimulationError(f"memory size must be a positive multiple of 4, got {size_bytes}")
         self.size_bytes = size_bytes
-        self._words = np.zeros(size_bytes // WORD_BYTES, dtype=np.int64)
+        self.words = array("I", [0]) * (size_bytes // WORD_BYTES)
         self._next_alloc = WORD_BYTES
 
     def allocate(self, num_words: int, align_bytes: int = 4) -> int:
@@ -48,28 +62,26 @@ class RvMemory:
         """Initialize a buffer from host data."""
         data = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
         index = self._index(base_addr)
-        if index + data.size > self._words.size:
+        if index + data.size > len(self.words):
             raise SimulationError(f"write of {data.size} words at {base_addr:#x} overflows memory")
-        self._words[index : index + data.size] = data
+        self.words[index : index + data.size] = array("I", data.tolist())
 
     def read_buffer(self, base_addr: int, num_words: int) -> np.ndarray:
         """Read a buffer back as unsigned 32-bit words."""
         index = self._index(base_addr)
-        if index + num_words > self._words.size:
+        if index + num_words > len(self.words):
             raise SimulationError(f"read of {num_words} words at {base_addr:#x} overflows memory")
-        return self._words[index : index + num_words].astype(np.uint32)
+        return np.array(self.words[index : index + num_words], dtype=np.uint32)
 
     def load_word(self, byte_addr: int) -> int:
         """Load one word (unsigned value)."""
-        return int(self._words[self._index(byte_addr)])
+        return self.words[self._index(byte_addr)]
 
     def store_word(self, byte_addr: int, value: int) -> None:
         """Store one word."""
-        self._words[self._index(byte_addr)] = int(value) & 0xFFFFFFFF
+        self.words[self._index(byte_addr)] = int(value) & 0xFFFFFFFF
 
     def _index(self, byte_addr: int) -> int:
-        if byte_addr % WORD_BYTES:
-            raise SimulationError(f"unaligned word access at {byte_addr:#x}")
-        if not 0 <= byte_addr < self.size_bytes:
-            raise SimulationError(f"data access out of range: {byte_addr:#x}")
+        if byte_addr % WORD_BYTES or not 0 <= byte_addr < self.size_bytes:
+            raise SimulationError(word_access_error(byte_addr))
         return byte_addr // WORD_BYTES

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Cell-by-cell A/B of two source trees on the Table III GPU cells.
+"""Cell-by-cell A/B of two source trees on the Table III cells.
 
 Whole-run A/B pairs of the scale-0.25 sweep spread by about +-15% on a
 shared host, because a slow phase of the host moves a whole run.  This tool
@@ -9,13 +9,19 @@ warm worker process per source tree (each imports ``repro`` from its own
 trees, and picks at random, per cell, which tree runs it first.  A host
 phase then lands on both sides of almost every cell.
 
-Every cell must report identical simulated cycles on both trees; the tool
-fails otherwise.  It prints each round's summed cell walls per tree and the
-median, min and max over rounds of the ratio base / change (above 1 means
-the change is faster).
+With ``--riscv`` the cells are the Table III RISC-V column instead: the 16
+RISC-V programs at the same scale, each run on the instruction-set
+simulator.
+
+Every cell must report identical simulated cycles on both trees (RISC-V
+cells: identical cycles and instruction counts); the tool fails otherwise.
+It prints each round's summed cell walls per tree and the median, min and
+max over rounds of the ratio base / change (above 1 means the change is
+faster).
 
     python tests/tools/cell_ab.py --base ../parent --change . --rounds 5
     python tests/tools/cell_ab.py --base . --change . --rounds 1 --kernels copy --cus 1 2
+    python tests/tools/cell_ab.py --base ../parent --change . --rounds 10 --riscv
 
 Workers run one at a time, so the A/B needs one free core.
 """
@@ -41,17 +47,25 @@ ORDER_SEED = 0  # seed of the per-cell run order
 def _worker(tree: Path) -> None:
     """Serve cell requests (one JSON object per line) for one source tree."""
     sys.path.insert(0, str(tree / "src"))
-    from repro.eval.benchmarks import BenchmarkSizes, measure_gpu_kernel
+    from repro.eval.benchmarks import BenchmarkSizes, measure_gpu_kernel, measure_riscv_program
     from repro.kernels import all_kernel_names
 
     for line in sys.stdin:
         request = json.loads(line)
         if request["op"] == "cells":
             names = request["kernels"] or all_kernel_names()
-            reply = [
-                [name, BenchmarkSizes.paper(name).scaled(SCALE).gpu_size]
-                for name in names
-            ]
+            reply = []
+            for name in names:
+                sizes = BenchmarkSizes.paper(name).scaled(SCALE)
+                reply.append([name, sizes.riscv_size if request["riscv"] else sizes.gpu_size])
+        elif request["num_cus"] is None:
+            start = time.perf_counter()
+            measurement = measure_riscv_program(request["kernel"], request["size"], SEED)
+            reply = {
+                "wall": time.perf_counter() - start,
+                "cycles": measurement.cycles,
+                "instructions": measurement.stats.instructions,
+            }
         else:
             start = time.perf_counter()
             measurement = measure_gpu_kernel(
@@ -96,18 +110,23 @@ def run_ab(
     rounds: int,
     kernels: Optional[List[str]],
     cu_counts: List[int],
+    riscv: bool = False,
 ) -> List[float]:
-    """Run the A/B and print its report; returns the per-round ratios."""
+    """Run the A/B and print its report; returns the per-round ratios.
+
+    ``riscv`` runs the RISC-V cells (``num_cus`` None in a request) instead
+    of the GPU cells at ``cu_counts``.
+    """
     workers = {"base": _Worker(base), "change": _Worker(change)}
     try:
-        query = {"op": "cells", "kernels": kernels}
+        query = {"op": "cells", "kernels": kernels, "riscv": riscv}
         cells = workers["base"].ask(query)
         if workers["change"].ask(query) != cells:
             raise SystemExit("the two trees disagree on the Table III cell sizes")
         requests = [
             {"op": "run", "kernel": name, "size": size, "num_cus": num_cus}
             for name, size in cells
-            for num_cus in cu_counts
+            for num_cus in ([None] if riscv else cu_counts)
         ]
         for worker in workers.values():  # warm-up: imports and first-use caches
             worker.ask(requests[0])
@@ -119,15 +138,16 @@ def run_ab(
             for request in requests:
                 sides = ["base", "change"]
                 order.shuffle(sides)
-                cycles = {}
+                results = {}
                 for side in sides:
                     reply = workers[side].ask(request)
-                    sums[side] += reply["wall"]
-                    cycles[side] = reply["cycles"]
-                if cycles["base"] != cycles["change"]:
+                    sums[side] += reply.pop("wall")
+                    results[side] = reply
+                if results["base"] != results["change"]:
+                    cell = "RISC-V" if riscv else f"{request['num_cus']} CU"
                     raise SystemExit(
-                        f"{request['kernel']} @ {request['num_cus']} CU: cycles differ "
-                        f"(base {cycles['base']}, change {cycles['change']})"
+                        f"{request['kernel']} @ {cell}: results differ "
+                        f"(base {results['base']}, change {results['change']})"
                     )
             ratio = sums["base"] / sums["change"]
             ratios.append(ratio)
@@ -137,7 +157,7 @@ def run_ab(
             )
         print(
             f"base/change ratio: median {statistics.median(ratios):.3f}  "
-            f"min {min(ratios):.3f}  max {max(ratios):.3f}  (cycles identical in every cell)"
+            f"min {min(ratios):.3f}  max {max(ratios):.3f}  (results identical in every cell)"
         )
         return ratios
     finally:
@@ -155,6 +175,9 @@ def main() -> int:
     parser.add_argument(
         "--cus", type=int, nargs="+", default=[1, 2, 4, 8], help="CU counts (default 1 2 4 8)"
     )
+    parser.add_argument(
+        "--riscv", action="store_true", help="run the RISC-V cells instead of the GPU cells"
+    )
     args = parser.parse_args()
     if args.worker is not None:
         _worker(args.worker.resolve())
@@ -166,7 +189,9 @@ def main() -> int:
     for tree in (args.base, args.change):
         if not (tree / "src" / "repro").is_dir():
             parser.error(f"{tree} holds no src/repro")
-    run_ab(args.base.resolve(), args.change.resolve(), args.rounds, args.kernels, args.cus)
+    run_ab(
+        args.base.resolve(), args.change.resolve(), args.rounds, args.kernels, args.cus, args.riscv
+    )
     return 0
 
 
